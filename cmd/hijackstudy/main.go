@@ -25,9 +25,9 @@
 //
 // -spill-dir runs every era world with a spill-to-disk segmented log (one
 // subdirectory per era) so peak RSS is bounded by the segment size
-// instead of the world size; the analyses run as a map-reduce over the
-// segment files and the report stays byte-identical to the monolithic
-// run. -spill-writers sizes the background segment encode/write pool and
+// instead of the world size; the analyses read the segment files back in
+// one ordered pass per era and the report stays byte-identical to the
+// monolithic run. -spill-writers sizes the background segment encode/write pool and
 // -scan-workers the analysis scans' decode-ahead depth — both trade
 // goroutines for wall-clock without touching report bytes. The footer
 // reports the process's peak RSS either way, so the two modes are

@@ -25,8 +25,7 @@ const DefaultFigure11Cases = 3000
 
 // ComputeFigure11 reproduces Figure 11 by geolocating one login IP per
 // hijack case. It feeds the incremental builder from Dataset 5's login
-// stream — the same records D13HijackIPs filters — so the batch and
-// streaming paths share one implementation.
+// stream, so the batch and streaming paths share one implementation.
 func ComputeFigure11(s *logstore.Store, plan *geo.IPPlan, cases int) Figure11 {
 	b := NewFigure11Builder()
 	for _, l := range datasets.D5HijackerLogins(s) {
@@ -37,8 +36,8 @@ func ComputeFigure11(s *logstore.Store, plan *geo.IPPlan, cases int) Figure11 {
 
 // Figure11Builder is the incremental form of ComputeFigure11. It keeps one
 // login per hijack case — Dataset 13's population, accumulated in log order
-// so the finalizing sample draws exactly what the batch extractor draws.
-// State grows with hijack cases, not with the log.
+// so the finalizing sample is the same on every path. State grows with
+// hijack cases, not with the log.
 type Figure11Builder struct {
 	seen  map[identity.AccountID]bool
 	cases []event.Login
@@ -59,18 +58,6 @@ func (b *Figure11Builder) Observe(e event.Event) {
 	}
 	b.seen[l.Account] = true
 	b.cases = append(b.cases, l)
-}
-
-// Merge folds a later partition's cases into b through the same
-// first-success-per-account dedup, reproducing the sequential case order.
-func (b *Figure11Builder) Merge(other *Figure11Builder) {
-	for _, l := range other.cases {
-		if b.seen[l.Account] {
-			continue
-		}
-		b.seen[l.Account] = true
-		b.cases = append(b.cases, l)
-	}
 }
 
 // Figure11 snapshots the figure from the cases observed so far, sampling
@@ -114,11 +101,6 @@ func (b *Figure12Builder) Observe(e event.Event) {
 	if ev, ok := e.(event.TwoSVEnrolled); ok && ev.Actor == event.ActorHijacker {
 		b.enrolls = append(b.enrolls, ev)
 	}
-}
-
-// Merge folds a later partition's enrollments into b by concatenation.
-func (b *Figure12Builder) Merge(other *Figure12Builder) {
-	b.enrolls = append(b.enrolls, other.enrolls...)
 }
 
 // Figure12 snapshots the figure from the enrollments observed so far.
@@ -178,16 +160,6 @@ func (b *BaseRatesBuilder) Observe(e event.Event) {
 	case event.PageDetected:
 		b.weekly.Observe(ev.When())
 	}
-}
-
-// Merge folds a later partition's aggregates into b: the victim set
-// unions, the weekly series adds bucketwise (both shards share the
-// window-start anchor).
-func (b *BaseRatesBuilder) Merge(other *BaseRatesBuilder) {
-	for a := range other.hijacked {
-		b.hijacked[a] = true
-	}
-	b.weekly.Merge(other.weekly)
 }
 
 // BaseRates snapshots the rates observed so far; activeAccounts comes from

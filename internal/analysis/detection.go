@@ -185,17 +185,6 @@ func (b *RiskSweepBuilder) Observe(e event.Event) {
 	}
 }
 
-// Merge folds a later partition's counters into b. Both builders come
-// from the same constructor, so the threshold grids line up.
-func (b *RiskSweepBuilder) Merge(other *RiskSweepBuilder) {
-	for i := range b.thresholds {
-		b.hijackCaught[i] += other.hijackCaught[i]
-		b.ownerChal[i] += other.ownerChal[i]
-	}
-	b.hijackSuccess += other.hijackSuccess
-	b.owner += other.owner
-}
-
 // Sweep snapshots the operating points observed so far.
 func (b *RiskSweepBuilder) Sweep() []RiskOperatingPoint {
 	out := make([]RiskOperatingPoint, 0, len(b.thresholds))

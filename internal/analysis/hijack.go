@@ -39,8 +39,8 @@ type decoyLogin struct {
 
 // Figure7Builder is the incremental form of ComputeFigure7. It accumulates
 // Dataset 4's two populations — decoy submissions and hijacker logins — and
-// replays D4DecoyAccesses' join at snapshot time, so state grows with the
-// attack (decoys + hijacker logins), not with the log.
+// joins each decoy to the first later hijacker login at snapshot time, so
+// state grows with the attack (decoys + hijacker logins), not with the log.
 type Figure7Builder struct {
 	submitted map[identity.AccountID]int // account → index in accesses
 	accesses  []datasets.DecoyAccess
@@ -70,21 +70,6 @@ func (b *Figure7Builder) Observe(e event.Event) {
 			b.logins = append(b.logins, decoyLogin{ev.Account, ev.When()})
 		}
 	}
-}
-
-// Merge folds a later partition's populations into b. Replaying other's
-// submissions in order through the same first-wins dedup reproduces the
-// sequential pass exactly: an account's earliest submission across
-// partitions claims the slot, later duplicates are dropped.
-func (b *Figure7Builder) Merge(other *Figure7Builder) {
-	for _, a := range other.accesses {
-		if _, dup := b.submitted[a.Account]; dup {
-			continue
-		}
-		b.submitted[a.Account] = len(b.accesses)
-		b.accesses = append(b.accesses, a)
-	}
-	b.logins = append(b.logins, other.logins...)
 }
 
 // Figure7 snapshots the figure from the populations observed so far.
@@ -192,31 +177,6 @@ func (b *Figure8Builder) Observe(e event.Event) {
 	}
 }
 
-// Merge folds a later partition's aggregates into b. Every field is an
-// additive count or a set union keyed by IP-day, so partition order
-// cannot change the result.
-func (b *Figure8Builder) Merge(other *Figure8Builder) {
-	for k, n := range other.attempts {
-		b.attempts[k] += n
-	}
-	for k, set := range other.accounts {
-		dst := b.accounts[k]
-		if dst == nil {
-			dst = map[identity.AccountID]bool{}
-			b.accounts[k] = dst
-		}
-		for id := range set {
-			dst[id] = true
-		}
-	}
-	b.totalAttempts += other.totalAttempts
-	b.okPasswords += other.okPasswords
-	b.successes += other.successes
-	for d, n := range other.daySuccess {
-		b.daySuccess[d] += n
-	}
-}
-
 // Figure8 snapshots the figure from the aggregates observed so far.
 func (b *Figure8Builder) Figure8() Figure8 {
 	var fig Figure8
@@ -299,11 +259,6 @@ func (b *Table3Builder) Observe(e event.Event) {
 	}
 }
 
-// Merge folds a later partition's term counts into b.
-func (b *Table3Builder) Merge(other *Table3Builder) {
-	b.terms.Merge(&other.terms)
-}
-
 // Table3 snapshots the table from the terms observed so far.
 func (b *Table3Builder) Table3() Table3 {
 	c := &b.terms
@@ -357,9 +312,8 @@ func ComputeAssessment(s *logstore.Store, sampleSize int) Assessment {
 }
 
 // d7Cases accumulates Dataset 7's population incrementally: distinct
-// hijacked accounts in first-HijackStarted order, which is exactly the
-// order D7HijackedAccounts builds before sampling — so a snapshot sample
-// equals the batch extractor's sample.
+// hijacked accounts in first-HijackStarted order, the order Dataset 7 is
+// sampled in — so every builder that samples it draws the same cases.
 type d7Cases struct {
 	seen map[identity.AccountID]bool
 	ids  []identity.AccountID
@@ -375,22 +329,6 @@ func (d *d7Cases) observe(e event.Event) {
 	}
 	d.seen[h.Account] = true
 	d.ids = append(d.ids, h.Account)
-}
-
-// merge appends other's cases that b has not seen, preserving other's
-// order. Concatenating partitions in log order through the same dedup
-// reproduces the sequential first-HijackStarted order exactly.
-func (d *d7Cases) merge(other *d7Cases) {
-	for _, id := range other.ids {
-		if d.seen[id] {
-			continue
-		}
-		if d.seen == nil {
-			d.seen = map[identity.AccountID]bool{}
-		}
-		d.seen[id] = true
-		d.ids = append(d.ids, id)
-	}
 }
 
 // sample draws Dataset 7's deterministic sample as a membership set.
@@ -428,14 +366,6 @@ func (b *AssessmentBuilder) Observe(e event.Event) {
 			b.opens = append(b.opens, ev)
 		}
 	}
-}
-
-// Merge folds a later partition's buffered populations into b: the case
-// dedup replays in order, the event buffers concatenate.
-func (b *AssessmentBuilder) Merge(other *AssessmentBuilder) {
-	b.cases.merge(&other.cases)
-	b.assessed = append(b.assessed, other.assessed...)
-	b.opens = append(b.opens, other.opens...)
 }
 
 // Assessment snapshots the §5.2 measurements observed so far.
@@ -542,17 +472,10 @@ func (b *ExploitationBuilder) Observe(e event.Event) {
 	}
 }
 
-// Merge folds a later partition's buffers into b by concatenation.
-func (b *ExploitationBuilder) Merge(other *ExploitationBuilder) {
-	b.starts = append(b.starts, other.starts...)
-	b.msgs = append(b.msgs, other.msgs...)
-	b.reports = append(b.reports, other.reports...)
-}
-
 // Exploitation snapshots §5.3 from the populations observed so far,
 // drawing Dataset 7's deterministic sample over the distinct hijacked
-// accounts in first-HijackStarted order — exactly D7HijackedAccounts'
-// population.
+// accounts in first-HijackStarted order — the population d7Cases
+// accumulates.
 func (b *ExploitationBuilder) Exploitation(sampleSize int) Exploitation {
 	seen := map[identity.AccountID]bool{}
 	var ids []identity.AccountID
@@ -736,11 +659,6 @@ func (b *ContactRiskBuilder) Observe(e event.Event) {
 	}
 }
 
-// Merge folds a later partition's hijack timeline into b.
-func (b *ContactRiskBuilder) Merge(other *ContactRiskBuilder) {
-	b.starts = append(b.starts, other.starts...)
-}
-
 // ContactRisk snapshots the cohort experiment from the hijacks observed so
 // far.
 func (b *ContactRiskBuilder) ContactRisk(dir *identity.Directory, cutoff time.Time, recruit, window time.Duration, n int) ContactRisk {
@@ -897,25 +815,6 @@ func (b *RetentionBuilder) Observe(e event.Event) {
 		if ev.Actor == event.ActorHijacker {
 			b.twoSV[ev.Account]++
 		}
-	}
-}
-
-// Merge folds a later partition's tactic state into b: the case dedup
-// replays in order, the per-account sets union, the 2SV counts add.
-func (b *RetentionBuilder) Merge(other *RetentionBuilder) {
-	b.cases.merge(&other.cases)
-	for _, pair := range [][2]map[identity.AccountID]bool{
-		{b.exploited, other.exploited}, {b.lockouts, other.lockouts},
-		{b.filters, other.filters}, {b.replyTos, other.replyTos},
-		{b.deletes, other.deletes}, {b.recovs, other.recovs},
-	} {
-		dst, src := pair[0], pair[1]
-		for a := range src {
-			dst[a] = true
-		}
-	}
-	for a, n := range other.twoSV {
-		b.twoSV[a] += n
 	}
 }
 

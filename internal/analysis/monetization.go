@@ -38,9 +38,7 @@ func ComputeMonetization(s *logstore.Store) Monetization {
 // MonetizationBuilder is the incremental form of ComputeMonetization:
 // funnel counters, the payment distribution, and the exploited-victim set.
 // Revenue is summed at snapshot time as a left fold over the payment
-// sample, which keeps payments in log order — so the floating-point
-// revenue total is bit-identical whether the builder observed the whole
-// log or was merged from per-segment shards.
+// sample, which keeps payments in log order.
 type MonetizationBuilder struct {
 	out       Monetization
 	routes    stats.Counter
@@ -73,20 +71,6 @@ func (b *MonetizationBuilder) Observe(e event.Event) {
 		if ev.Exploited {
 			b.exploited[int32(ev.Account)] = true
 		}
-	}
-}
-
-// Merge folds a later partition's funnel into b: counters add, routes and
-// payments merge in partition order, the exploited set unions.
-func (b *MonetizationBuilder) Merge(other *MonetizationBuilder) {
-	b.out.PleaRecipients += other.out.PleaRecipients
-	b.out.Replies += other.out.Replies
-	b.out.ReachedCrew += other.out.ReachedCrew
-	b.out.Payments += other.out.Payments
-	b.routes.Merge(&other.routes)
-	b.payments.Merge(&other.payments)
-	for a := range other.exploited {
-		b.exploited[a] = true
 	}
 }
 

@@ -45,9 +45,7 @@ func URLShare(s *logstore.Store, sampleSize int) float64 {
 // detections are buffered raw and resolved against the page maps at
 // snapshot time; a page is always created before its lures, hits, and
 // detection (the simulation emits them causally), so the deferred join
-// equals the batch extractors' two-pass joins — and, because every buffer
-// is order-preserving and the maps are keyed by page, per-segment shards
-// merged in log order reproduce the single pass exactly.
+// equals a two-pass join over the whole log.
 type PhishSampleBuilder struct {
 	targeted   map[event.PageID]bool
 	created    map[event.PageID]event.PageCreated
@@ -81,20 +79,6 @@ func (b *PhishSampleBuilder) Observe(e event.Event) {
 	}
 }
 
-// Merge folds a later partition's populations into b: page maps union
-// (page IDs are unique, so there are no collisions to order), buffers
-// concatenate.
-func (b *PhishSampleBuilder) Merge(other *PhishSampleBuilder) {
-	for p := range other.targeted {
-		b.targeted[p] = true
-	}
-	for p, c := range other.created {
-		b.created[p] = c
-	}
-	b.lures = append(b.lures, other.lures...)
-	b.detections = append(b.detections, other.detections...)
-}
-
 // resolve runs the deferred joins: reported lures excluding
 // contact-targeted pages, and detections of tracked (untargeted) pages.
 func (b *PhishSampleBuilder) resolve() (reported []event.LureSent, detected []event.PageCreated) {
@@ -112,7 +96,7 @@ func (b *PhishSampleBuilder) resolve() (reported []event.LureSent, detected []ev
 }
 
 // Table2 snapshots Table 2 from the populations observed so far, drawing
-// the same deterministic samples the batch extractors draw.
+// Datasets 1 and 2's deterministic samples.
 func (b *PhishSampleBuilder) Table2(sampleSize int) Table2 {
 	reported, detected := b.resolve()
 	emails := datasets.SampleN(1, reported, sampleSize)
@@ -169,8 +153,7 @@ func ComputeFigure3(s *logstore.Store, samplePages int) Figure3 {
 // d3Pages tracks Dataset 3's join incrementally: one aggregate of type T
 // per Forms-created page, takedown eligibility, and the dataset's
 // deterministic page sample. The per-page aggregates replace Dataset 3's
-// materialized HTTP logs, so builder state grows with pages, not hits —
-// the shape that lets these figures run as a merge of per-segment maps.
+// materialized HTTP logs, so builder state grows with pages, not hits.
 type d3Pages[T any] struct {
 	pages map[event.PageID]*d3Page[T]
 }
@@ -207,8 +190,8 @@ func (d *d3Pages[T]) observe(e event.Event) (agg *d3Page[T], hit event.PageHit, 
 }
 
 // sample draws Dataset 3's deterministic sample over the eligible
-// (taken-down) pages observed so far, in the same id order D3FormsPages
-// sorts into.
+// (taken-down) pages observed so far, sorted by page id first so map
+// iteration order cannot change the sample.
 func (d *d3Pages[T]) sample(n int) []*d3Page[T] {
 	var eligible []*d3Page[T]
 	for _, p := range d.pages {

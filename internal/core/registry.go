@@ -2,7 +2,6 @@ package core
 
 import (
 	"runtime"
-	"sync"
 	"time"
 
 	"manualhijack/internal/analysis"
@@ -74,105 +73,56 @@ type Analysis struct {
 	// graphs, secondary-email state, activity). They are skipped when
 	// replaying a dumped log, where only events survive.
 	NeedsDir bool
-	// Run computes the analysis against the whole log. Every current entry
-	// is builder-form (Run nil, Stream set); the field remains for future
-	// analyses that genuinely need whole-log random access.
+	// Run is unset on every entry and ignored by the runner: every
+	// analysis is builder-form (Stream). The field stays declared only
+	// because perfbench/analyze.go still names it.
 	Run func(in AnalysisInput, r *StudyReport)
-	// Stream returns the analysis's incremental builder. On a segmented
-	// (spilled-to-disk) log, every Stream-capable analysis of an era is
-	// fed from ONE ordered scan — each segment is decoded once per pass
-	// instead of once per analysis — and finalized into its report field.
-	// Builders that additionally implement MergeableAnalysis are folded
-	// as one shard per segment on a worker pool and merged back in
-	// segment order, so the single decode pass also stops serializing the
-	// fold.
+	// Stream returns the analysis's incremental builder. The runner feeds
+	// every builder of one log from a single ordered scan and then
+	// finalizes it into its report field.
 	Stream func(in AnalysisInput) StreamAnalysis
 }
 
 // StreamAnalysis is one analysis in builder form: events are folded in one
 // at a time (in log order) and the result is written to its report field
-// at the end. Builders are single-goroutine; the runner serializes feeds.
+// at the end. Builders are single-goroutine; the runner never feeds one
+// builder from two goroutines at once.
 type StreamAnalysis interface {
 	Observe(e event.Event)
 	Finalize(r *StudyReport)
 }
 
-// MergeableAnalysis is an optional capability on StreamAnalysis: an
-// analysis whose fold is partitionable. NewShard returns a fresh builder
-// with the same configuration; Merge folds a shard that observed a later,
-// contiguous partition of the log into the receiver. The contract is
-// exact, not approximate: merging per-partition shards in log order must
-// reproduce the very state a single sequential pass builds — slice
-// orders, dedup winners, and float summation order included — which is
-// what keeps segmented study reports byte-identical to monolithic ones.
-// Order-sensitive builders (live session state machines, cross-segment
-// page joins, first-hit anchored series) simply do not implement it and
-// stay on the ordered scan.
-type MergeableAnalysis interface {
-	StreamAnalysis
-	NewShard() MergeableAnalysis
-	Merge(shard MergeableAnalysis)
-}
-
-// streamed packages a builder's observe/finalize pair as a StreamAnalysis.
-type streamed struct {
-	observe  func(event.Event)
-	finalize func(*StudyReport)
-}
-
-func (s streamed) Observe(e event.Event)   { s.observe(e) }
-func (s streamed) Finalize(r *StudyReport) { s.finalize(r) }
-
-// merged adapts a concrete builder type carrying a typed Merge method into
-// a MergeableAnalysis: the registry entry supplies the constructor
-// (capturing the builder's configuration, so shards are configured
-// identically) and the finalizer; the adapter wires NewShard and Merge
-// through the builder's own Merge.
-type merged[B interface {
-	Observe(event.Event)
-	Merge(B)
-}] struct {
+// built pairs a concrete builder with the finalizer that writes its
+// report field.
+type built[B interface{ Observe(event.Event) }] struct {
 	b        B
-	newB     func() B
 	finalize func(B, *StudyReport)
 }
 
-func (m merged[B]) Observe(e event.Event)   { m.b.Observe(e) }
-func (m merged[B]) Finalize(r *StudyReport) { m.finalize(m.b, r) }
-func (m merged[B]) NewShard() MergeableAnalysis {
-	return merged[B]{b: m.newB(), newB: m.newB, finalize: m.finalize}
-}
-func (m merged[B]) Merge(shard MergeableAnalysis) { m.b.Merge(shard.(merged[B]).b) }
+func (a built[B]) Observe(e event.Event)   { a.b.Observe(e) }
+func (a built[B]) Finalize(r *StudyReport) { a.finalize(a.b, r) }
 
-// mergeable builds the registry's standard MergeableAnalysis from a
-// builder constructor and a finalizer.
-func mergeable[B interface {
-	Observe(event.Event)
-	Merge(B)
-}](newB func() B, fin func(B, *StudyReport)) StreamAnalysis {
-	return merged[B]{b: newB(), newB: newB, finalize: fin}
+// builder packages a builder constructor and its finalizer as the
+// registry's StreamAnalysis.
+func builder[B interface{ Observe(event.Event) }](newB func() B, finalize func(B, *StudyReport)) StreamAnalysis {
+	return built[B]{b: newB(), finalize: finalize}
 }
 
 // riskSweepThresholds is the §8.1 operating-point grid.
 var riskSweepThresholds = []float64{0.3, 0.4, 0.5, 0.58, 0.62, 0.7, 0.8, 0.9}
 
 // registry holds every analysis of the study, in report order. Every entry
-// is stream-form: its whole-log form is derived by scanning the log
-// through the builder, so one definition serves the monolithic, the
-// segmented, and the online-streaming paths. Entries built with
-// mergeable() additionally fold as per-segment shards on the segmented
-// path; the handful built with streamed{} are order-sensitive (session
-// state machines, cross-segment page joins, first-hit anchors) and fold
-// inline on the ordered scan.
+// is builder-form, so one definition serves the in-RAM, the segmented and
+// the online-streaming paths.
 var registry = []Analysis{
 	// ---- 2011 era ----
 	{Name: "retention-2011", Era: Era2011, Stream: func(in AnalysisInput) StreamAnalysis {
-		return mergeable(analysis.NewRetentionBuilder, func(b *analysis.RetentionBuilder, r *StudyReport) {
+		return builder(analysis.NewRetentionBuilder, func(b *analysis.RetentionBuilder, r *StudyReport) {
 			r.Retention2011 = b.Retention(600)
 		})
 	}},
 	{Name: "contact-risk", Era: Era2011, NeedsDir: true, Stream: func(in AnalysisInput) StreamAnalysis {
-		return mergeable(analysis.NewContactRiskBuilder, func(b *analysis.ContactRiskBuilder, r *StudyReport) {
+		return builder(analysis.NewContactRiskBuilder, func(b *analysis.ContactRiskBuilder, r *StudyReport) {
 			// Cohorts form four days after background campaigns stop, so the
 			// backlog of mass-campaign conversions is flushed and the outcome
 			// window isolates the hijacker contact-targeting loop.
@@ -185,140 +135,145 @@ var registry = []Analysis{
 
 	// ---- 2012 era — the big fan-out ----
 	{Name: "figure-3", Era: Era2012, Stream: func(in AnalysisInput) StreamAnalysis {
-		b := analysis.NewFigure3Builder()
-		return streamed{b.Observe, func(r *StudyReport) { r.Fig3 = b.Figure3(100) }}
+		return builder(analysis.NewFigure3Builder, func(b *analysis.Figure3Builder, r *StudyReport) {
+			r.Fig3 = b.Figure3(100)
+		})
 	}},
 	{Name: "figure-4", Era: Era2012, Stream: func(in AnalysisInput) StreamAnalysis {
-		b := analysis.NewFigure4Builder()
-		return streamed{b.Observe, func(r *StudyReport) { r.Fig4 = b.Figure4(100) }}
+		return builder(analysis.NewFigure4Builder, func(b *analysis.Figure4Builder, r *StudyReport) {
+			r.Fig4 = b.Figure4(100)
+		})
 	}},
 	{Name: "figure-5", Era: Era2012, Stream: func(in AnalysisInput) StreamAnalysis {
-		b := analysis.NewFigure5Builder()
-		return streamed{b.Observe, func(r *StudyReport) { r.Fig5 = b.Figure5(100, 25) }}
+		return builder(analysis.NewFigure5Builder, func(b *analysis.Figure5Builder, r *StudyReport) {
+			r.Fig5 = b.Figure5(100, 25)
+		})
 	}},
 	{Name: "figure-6", Era: Era2012, Stream: func(in AnalysisInput) StreamAnalysis {
-		b := analysis.NewFigure6Builder()
-		return streamed{b.Observe, func(r *StudyReport) {
+		return builder(analysis.NewFigure6Builder, func(b *analysis.Figure6Builder, r *StudyReport) {
 			r.Fig6 = b.Figure6(analysis.DefaultFigure6SamplePages)
-		}}
+		})
 	}},
 	{Name: "figure-7", Era: Era2012, Stream: func(in AnalysisInput) StreamAnalysis {
-		return mergeable(analysis.NewFigure7Builder, func(b *analysis.Figure7Builder, r *StudyReport) {
+		return builder(analysis.NewFigure7Builder, func(b *analysis.Figure7Builder, r *StudyReport) {
 			r.Fig7 = b.Figure7()
 		})
 	}},
 	{Name: "figure-8", Era: Era2012, Stream: func(in AnalysisInput) StreamAnalysis {
-		return mergeable(analysis.NewFigure8Builder, func(b *analysis.Figure8Builder, r *StudyReport) {
+		return builder(analysis.NewFigure8Builder, func(b *analysis.Figure8Builder, r *StudyReport) {
 			r.Fig8 = b.Figure8()
 		})
 	}},
 	{Name: "table-3", Era: Era2012, Stream: func(in AnalysisInput) StreamAnalysis {
-		return mergeable(analysis.NewTable3Builder, func(b *analysis.Table3Builder, r *StudyReport) {
+		return builder(analysis.NewTable3Builder, func(b *analysis.Table3Builder, r *StudyReport) {
 			r.Table3 = b.Table3()
 		})
 	}},
 	{Name: "assessment", Era: Era2012, Stream: func(in AnalysisInput) StreamAnalysis {
-		return mergeable(analysis.NewAssessmentBuilder, func(b *analysis.AssessmentBuilder, r *StudyReport) {
+		return builder(analysis.NewAssessmentBuilder, func(b *analysis.AssessmentBuilder, r *StudyReport) {
 			r.Assessment = b.Assessment(575)
 		})
 	}},
 	{Name: "exploitation", Era: Era2012, Stream: func(in AnalysisInput) StreamAnalysis {
-		return mergeable(analysis.NewExploitationBuilder, func(b *analysis.ExploitationBuilder, r *StudyReport) {
+		return builder(analysis.NewExploitationBuilder, func(b *analysis.ExploitationBuilder, r *StudyReport) {
 			r.Exploitation = b.Exploitation(575)
 		})
 	}},
 	{Name: "retention-2012", Era: Era2012, Stream: func(in AnalysisInput) StreamAnalysis {
-		return mergeable(analysis.NewRetentionBuilder, func(b *analysis.RetentionBuilder, r *StudyReport) {
+		return builder(analysis.NewRetentionBuilder, func(b *analysis.RetentionBuilder, r *StudyReport) {
 			r.Retention2012 = b.Retention(575)
 		})
 	}},
 	{Name: "figure-9", Era: Era2012, Stream: func(in AnalysisInput) StreamAnalysis {
-		return mergeable(analysis.NewFigure9Builder, func(b *analysis.Figure9Builder, r *StudyReport) {
+		return builder(analysis.NewFigure9Builder, func(b *analysis.Figure9Builder, r *StudyReport) {
 			r.Fig9 = b.Figure9(5000)
 		})
 	}},
 	{Name: "figure-12", Era: Era2012, Stream: func(in AnalysisInput) StreamAnalysis {
-		return mergeable(analysis.NewFigure12Builder, func(b *analysis.Figure12Builder, r *StudyReport) {
+		return builder(analysis.NewFigure12Builder, func(b *analysis.Figure12Builder, r *StudyReport) {
 			r.Fig12 = b.Figure12(300)
 		})
 	}},
 	{Name: "behavior-detector", Era: Era2012, Stream: func(in AnalysisInput) StreamAnalysis {
-		b := analysis.NewBehaviorEvalBuilder(behavior.DefaultConfig())
-		return streamed{b.Observe, func(r *StudyReport) { r.Behavior = b.DetectionEval() }}
+		return builder(func() *analysis.BehaviorEvalBuilder {
+			return analysis.NewBehaviorEvalBuilder(behavior.DefaultConfig())
+		}, func(b *analysis.BehaviorEvalBuilder, r *StudyReport) {
+			r.Behavior = b.DetectionEval()
+		})
 	}},
 	{Name: "risk-sweep", Era: Era2012, Stream: func(in AnalysisInput) StreamAnalysis {
-		return mergeable(func() *analysis.RiskSweepBuilder {
+		return builder(func() *analysis.RiskSweepBuilder {
 			return analysis.NewRiskSweepBuilder(riskSweepThresholds)
 		}, func(b *analysis.RiskSweepBuilder, r *StudyReport) {
 			r.RiskSweep = b.Sweep()
 		})
 	}},
 	{Name: "work-schedule", Era: Era2012, Stream: func(in AnalysisInput) StreamAnalysis {
-		return mergeable(analysis.NewWorkScheduleBuilder, func(b *analysis.WorkScheduleBuilder, r *StudyReport) {
+		return builder(analysis.NewWorkScheduleBuilder, func(b *analysis.WorkScheduleBuilder, r *StudyReport) {
 			r.Schedule = b.WorkSchedule()
 		})
 	}},
 	{Name: "doppelganger", Era: Era2012, NeedsDir: true, Stream: func(in AnalysisInput) StreamAnalysis {
-		return mergeable(func() *analysis.DoppelgangerBuilder {
+		return builder(func() *analysis.DoppelgangerBuilder {
 			return analysis.NewDoppelgangerBuilder(in.Dir, 0.75)
 		}, func(b *analysis.DoppelgangerBuilder, r *StudyReport) {
 			r.Doppelganger = b.DoppelgangerEval()
 		})
 	}},
 	{Name: "monetization", Era: Era2012, Stream: func(in AnalysisInput) StreamAnalysis {
-		return mergeable(analysis.NewMonetizationBuilder, func(b *analysis.MonetizationBuilder, r *StudyReport) {
+		return builder(analysis.NewMonetizationBuilder, func(b *analysis.MonetizationBuilder, r *StudyReport) {
 			r.Monetization = b.Monetization()
 		})
 	}},
 	{Name: "lifecycle", Era: Era2012, Stream: func(in AnalysisInput) StreamAnalysis {
-		return mergeable(analysis.NewLifecycleBuilder, func(b *analysis.LifecycleBuilder, r *StudyReport) {
+		return builder(analysis.NewLifecycleBuilder, func(b *analysis.LifecycleBuilder, r *StudyReport) {
 			r.Lifecycle = b.Lifecycle()
 		})
 	}},
 	{Name: "archetype-scorecard", Era: Era2012, Stream: func(in AnalysisInput) StreamAnalysis {
-		return mergeable(analysis.NewArchetypeScorecardBuilder, func(b *analysis.ArchetypeScorecardBuilder, r *StudyReport) {
+		return builder(analysis.NewArchetypeScorecardBuilder, func(b *analysis.ArchetypeScorecardBuilder, r *StudyReport) {
 			r.ArchetypeScorecard = b.Scorecard()
 		})
 	}},
 
 	// ---- 2013 era ----
 	{Name: "figure-10", Era: Era2013, Stream: func(in AnalysisInput) StreamAnalysis {
-		return mergeable(analysis.NewFigure10Builder, func(b *analysis.Figure10Builder, r *StudyReport) {
+		return builder(analysis.NewFigure10Builder, func(b *analysis.Figure10Builder, r *StudyReport) {
 			r.Fig10 = b.Figure10(in.Start, in.End)
 		})
 	}},
 	{Name: "recovery-channels", Era: Era2013, NeedsDir: true, Stream: func(in AnalysisInput) StreamAnalysis {
-		return mergeable(analysis.NewRecoveryChannelsBuilder, func(b *analysis.RecoveryChannelsBuilder, r *StudyReport) {
+		return builder(analysis.NewRecoveryChannelsBuilder, func(b *analysis.RecoveryChannelsBuilder, r *StudyReport) {
 			secTotal, secRecycled := secondaryCountsDir(in.Dir)
 			r.Channels = b.RecoveryChannels(secTotal, secRecycled)
 		})
 	}},
 	{Name: "remission", Era: Era2013, Stream: func(in AnalysisInput) StreamAnalysis {
-		return mergeable(analysis.NewRemissionBuilder, func(b *analysis.RemissionBuilder, r *StudyReport) {
+		return builder(analysis.NewRemissionBuilder, func(b *analysis.RemissionBuilder, r *StudyReport) {
 			r.Remission = b.Remission()
 		})
 	}},
 
 	// ---- 2014 era ----
 	{Name: "table-2", Era: Era2014, Stream: func(in AnalysisInput) StreamAnalysis {
-		return mergeable(analysis.NewPhishSampleBuilder, func(b *analysis.PhishSampleBuilder, r *StudyReport) {
+		return builder(analysis.NewPhishSampleBuilder, func(b *analysis.PhishSampleBuilder, r *StudyReport) {
 			r.Table2 = b.Table2(100)
 		})
 	}},
 	{Name: "url-share", Era: Era2014, Stream: func(in AnalysisInput) StreamAnalysis {
-		return mergeable(analysis.NewPhishSampleBuilder, func(b *analysis.PhishSampleBuilder, r *StudyReport) {
+		return builder(analysis.NewPhishSampleBuilder, func(b *analysis.PhishSampleBuilder, r *StudyReport) {
 			r.URLShare = b.URLShare(100)
 		})
 	}},
 	{Name: "figure-11", Era: Era2014, Stream: func(in AnalysisInput) StreamAnalysis {
-		return mergeable(analysis.NewFigure11Builder, func(b *analysis.Figure11Builder, r *StudyReport) {
+		return builder(analysis.NewFigure11Builder, func(b *analysis.Figure11Builder, r *StudyReport) {
 			r.Fig11 = b.Figure11(in.Plan, analysis.DefaultFigure11Cases)
 		})
 	}},
 
 	// ---- base rates ----
 	{Name: "base-rates", Era: EraBase, NeedsDir: true, Stream: func(in AnalysisInput) StreamAnalysis {
-		return mergeable(func() *analysis.BaseRatesBuilder {
+		return builder(func() *analysis.BaseRatesBuilder {
 			return analysis.NewBaseRatesBuilder(in.Start)
 		}, func(b *analysis.BaseRatesBuilder, r *StudyReport) {
 			active := 0
@@ -350,12 +305,12 @@ func worldInput(w *World, scale float64) AnalysisInput {
 	}
 }
 
-// RunAnalyses fans every applicable registry analysis out over a worker
-// pool against one input (typically a dumped log reloaded by cmd/analyze)
-// and returns the report plus the names of analyses skipped because they
-// need the live directory. par follows StudyConfig.Parallelism semantics:
-// 0 means GOMAXPROCS, 1 runs sequentially. The result is deterministic at
-// any parallelism — every analysis writes a distinct report field.
+// RunAnalyses runs every applicable registry analysis against one input
+// (typically a dumped log reloaded by cmd/analyze) and returns the report
+// plus the names of analyses skipped because they need the live
+// directory. par follows StudyConfig.Parallelism semantics: 0 means
+// GOMAXPROCS, 1 runs sequentially. The result is deterministic at any
+// parallelism — every analysis writes a distinct report field.
 func RunAnalyses(in AnalysisInput, par int) (*StudyReport, []string) {
 	if in.Scale <= 0 {
 		in.Scale = 1
@@ -369,15 +324,10 @@ func RunAnalyses(in AnalysisInput, par int) (*StudyReport, []string) {
 	return r, skipped
 }
 
-// analysisJobs builds the parallel job list for the whole registry, given
-// the input each era's analyses read. On monolithic (in-RAM) logs every
-// entry is its own job, preserving the wide fan-out. On a segmented log
-// the Stream-capable entries of each store are grouped into a single
-// map-reduce job: one ordered scan decodes every segment exactly once and
-// feeds all builders, which then finalize into their report fields — the
-// pass count stops scaling with the analysis count. par bounds the
-// per-segment shard folds inside each group (see runGroup). Entries whose
-// directory requirement is unmet are returned in skipped.
+// analysisJobs builds one job per log store, given the input each era's
+// analyses read: the registry entries sharing a store run together in one
+// runGroup, so the store is scanned once however many analyses read it.
+// Entries whose directory requirement is unmet are returned in skipped.
 func analysisJobs(input func(Era) AnalysisInput, r *StudyReport, par int) (jobs []func(), skipped []string) {
 	type group struct {
 		in      AnalysisInput
@@ -386,124 +336,52 @@ func analysisJobs(input func(Era) AnalysisInput, r *StudyReport, par int) (jobs 
 	var groups []*group
 	byStore := map[*logstore.Store]*group{}
 	for _, a := range registry {
-		a := a
 		in := input(a.Era)
 		if a.NeedsDir && in.Dir == nil {
 			skipped = append(skipped, a.Name)
 			continue
 		}
-		if a.Stream != nil && in.Log.Segmented() {
-			g := byStore[in.Log]
-			if g == nil {
-				g = &group{in: in}
-				byStore[in.Log] = g
-				groups = append(groups, g)
-			}
-			g.entries = append(g.entries, a)
-			continue
+		g := byStore[in.Log]
+		if g == nil {
+			g = &group{in: in}
+			byStore[in.Log] = g
+			groups = append(groups, g)
 		}
-		jobs = append(jobs, func() { runOne(a, in, r) })
+		g.entries = append(g.entries, a)
 	}
 	for _, g := range groups {
-		g := g
 		jobs = append(jobs, func() { runGroup(g.in, g.entries, r, par) })
 	}
 	return jobs, skipped
 }
 
-// runGroup executes one segmented store's Stream entries in a single
-// decode pass. The scan goroutine folds the order-sensitive builders
-// inline, preserving strict log order; for every decoded segment, up to
-// par worker goroutines fold one fresh shard per mergeable entry, and a
-// single merger goroutine folds finished shards back into the root
-// builders strictly in segment order. Because each builder's Merge
-// contract reproduces the sequential state exactly, the report stays
-// byte-identical to a monolithic run at any worker count.
+// runGroup runs the entries that share one store. It builds one builder per
+// entry and decodes each storage unit once (ScanSegments: every segment of
+// a segmented store, or the whole log of an in-RAM store). Each unit is
+// fanned out as one job per builder on up to par workers, and every job
+// finishes before the next unit is delivered, so each builder sees the
+// whole log in order — the report is the one a sequential pass builds, at
+// any par and any segment layout.
 func runGroup(in AnalysisInput, entries []Analysis, r *StudyReport, par int) {
 	builders := make([]StreamAnalysis, len(entries))
-	var ordered []StreamAnalysis
-	var roots []MergeableAnalysis
+	jobs := make([]func(), len(entries))
+	var unit []event.Event
 	for i, a := range entries {
 		b := a.Stream(in)
 		builders[i] = b
-		if m, ok := b.(MergeableAnalysis); ok {
-			roots = append(roots, m)
-		} else {
-			ordered = append(ordered, b)
-		}
-	}
-	if par < 1 {
-		par = 1
-	}
-
-	// segShards carries one segment's shard set from its fold worker to
-	// the merger; done is closed once the shards are fully folded. Entries
-	// are enqueued in segment order before the worker spawns, so the
-	// merger's receive order IS segment order, and the queue's capacity
-	// bounds how many decoded segments the shard stage can hold live.
-	type segShards struct {
-		shards []MergeableAnalysis
-		done   chan struct{}
-	}
-	queue := make(chan *segShards, par+1)
-	var mergeWG sync.WaitGroup
-	mergeWG.Add(1)
-	go func() {
-		defer mergeWG.Done()
-		for ss := range queue {
-			<-ss.done
-			for j, sh := range ss.shards {
-				roots[j].Merge(sh)
-			}
-		}
-	}()
-
-	sem := make(chan struct{}, par)
-	in.Log.ScanSegments(func(_ int, events []event.Event) {
-		for _, e := range events {
-			for _, b := range ordered {
+		jobs[i] = func() {
+			for _, e := range unit {
 				b.Observe(e)
 			}
 		}
-		if len(roots) == 0 {
-			return
-		}
-		ss := &segShards{done: make(chan struct{})}
-		queue <- ss
-		sem <- struct{}{}
-		go func() {
-			defer close(ss.done)
-			shards := make([]MergeableAnalysis, len(roots))
-			for j := range roots {
-				shards[j] = roots[j].NewShard()
-			}
-			for _, e := range events {
-				for _, sh := range shards {
-					sh.Observe(e)
-				}
-			}
-			ss.shards = shards
-			<-sem
-		}()
+	}
+	in.Log.ScanSegments(func(_ int, events []event.Event) {
+		unit = events
+		runAll(par, jobs)
 	})
-	close(queue)
-	mergeWG.Wait()
-
 	for _, b := range builders {
 		b.Finalize(r)
 	}
-}
-
-// runOne executes one entry in whole-log form, deriving it from the
-// builder when the entry is stream-only.
-func runOne(a Analysis, in AnalysisInput, r *StudyReport) {
-	if a.Run != nil {
-		a.Run(in, r)
-		return
-	}
-	b := a.Stream(in)
-	in.Log.Scan(b.Observe)
-	b.Finalize(r)
 }
 
 // secondaryCountsDir tallies the population's secondary-email totals for

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -26,8 +28,8 @@ func TestRegistryWellFormed(t *testing.T) {
 		if a.Era < Era2011 || a.Era >= eraCount {
 			t.Fatalf("%s: bad era %d", a.Name, a.Era)
 		}
-		if a.Run == nil && a.Stream == nil {
-			t.Fatalf("%s: neither Run nor Stream", a.Name)
+		if a.Stream == nil || a.Run != nil {
+			t.Fatalf("%s: every entry must be builder-form (Stream set, Run unset)", a.Name)
 		}
 	}
 }
@@ -53,7 +55,8 @@ func TestOfflineRegistryParity(t *testing.T) {
 	if err := logstore.WriteNDJSONMeta(&buf, w.Log, meta); err != nil {
 		t.Fatal(err)
 	}
-	loaded, st, err := logstore.ReadNDJSONWith(&buf, logstore.ReadOptions{})
+	dump := buf.Bytes()
+	loaded, st, err := logstore.ReadNDJSONWith(bytes.NewReader(dump), logstore.ReadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,15 +64,20 @@ func TestOfflineRegistryParity(t *testing.T) {
 		t.Fatalf("reload: sealed=%v records=%d want %d", loaded.Sealed(), st.Records, w.Log.Len())
 	}
 
-	offline, skipped := RunAnalyses(AnalysisInput{
-		Log:   loaded,
-		Start: st.Meta.Start,
-		End:   st.Meta.End,
-		Plan:  DefaultIPPlan(),
-	}, 0)
-	wantSkipped := []string{"contact-risk", "doppelganger", "recovery-channels", "base-rates"}
-	if !reflect.DeepEqual(skipped, wantSkipped) {
-		t.Fatalf("offline skipped %v, want %v", skipped, wantSkipped)
+	// The same dump re-segmented at an uneven segment size, so segment
+	// boundaries fall mid-hijack and mid-session.
+	dumpPath := filepath.Join(t.TempDir(), "world.ndjson")
+	if err := os.WriteFile(dumpPath, dump, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reseg, rst, err := logstore.ResegmentNDJSONFile(dumpPath,
+		logstore.SpillConfig{Dir: t.TempDir(), SegmentRecords: 997}, logstore.ReadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rst.Records != w.Log.Len() || rst.Segments < 3 {
+		t.Fatalf("re-segmented dump: %d records in %d segments, want %d records in several",
+			rst.Records, rst.Segments, w.Log.Len())
 	}
 
 	// The live report's directory-backed fields have no offline
@@ -79,14 +87,34 @@ func TestOfflineRegistryParity(t *testing.T) {
 	live.Channels = analysis.RecoveryChannels{}
 	live.BaseRates = analysis.BaseRates{}
 
-	if !reflect.DeepEqual(live, offline) {
-		lv, ov := reflect.ValueOf(*live), reflect.ValueOf(*offline)
-		for i := 0; i < lv.NumField(); i++ {
-			if !reflect.DeepEqual(lv.Field(i).Interface(), ov.Field(i).Interface()) {
-				t.Errorf("field %s diverges offline:\nlive:    %+v\noffline: %+v",
-					lv.Type().Field(i).Name, lv.Field(i).Interface(), ov.Field(i).Interface())
-			}
+	wantSkipped := []string{"contact-risk", "doppelganger", "recovery-channels", "base-rates"}
+	for _, tc := range []struct {
+		name string
+		log  *logstore.Store
+		par  int
+	}{
+		{"reloaded", loaded, 0},
+		{"resegmented-par1", reseg, 1},
+		{"resegmented-par4", reseg, 4},
+	} {
+		offline, skipped := RunAnalyses(AnalysisInput{
+			Log:   tc.log,
+			Start: st.Meta.Start,
+			End:   st.Meta.End,
+			Plan:  DefaultIPPlan(),
+		}, tc.par)
+		if !reflect.DeepEqual(skipped, wantSkipped) {
+			t.Fatalf("%s: offline skipped %v, want %v", tc.name, skipped, wantSkipped)
 		}
-		t.Fatal("offline registry run does not match in-process analyses")
+		if !reflect.DeepEqual(live, offline) {
+			lv, ov := reflect.ValueOf(*live), reflect.ValueOf(*offline)
+			for i := 0; i < lv.NumField(); i++ {
+				if !reflect.DeepEqual(lv.Field(i).Interface(), ov.Field(i).Interface()) {
+					t.Errorf("%s: field %s diverges offline:\nlive:    %+v\noffline: %+v", tc.name,
+						lv.Type().Field(i).Name, lv.Field(i).Interface(), ov.Field(i).Interface())
+				}
+			}
+			t.Fatalf("%s: offline registry run does not match in-process analyses", tc.name)
+		}
 	}
 }

@@ -14,7 +14,7 @@ import (
 // run with every era world spilling to disk segments must produce a
 // byte-identical StudyReport to the monolithic in-RAM run of the same
 // seed. The segment threshold is set low enough that every era world
-// spills multiple segments, so the map-reduce analysis path (one ordered
+// spills multiple segments, so the per-segment analysis path (one ordered
 // scan feeding every builder) is exercised for real.
 func TestSegmentedMatchesMonolithic(t *testing.T) {
 	if testing.Short() {
@@ -23,7 +23,7 @@ func TestSegmentedMatchesMonolithic(t *testing.T) {
 	for _, seed := range []int64{1, 2} {
 		sc := StudyConfig{Seed: seed, Scale: 0.1, DecoyN: 200,
 			// Archetype actors ride in every era world so the segmented
-			// scan covers tagged events and the scorecard's Merge path.
+			// scan feeds the scorecard tagged events across segments.
 			Archetypes: []ArchetypeSpec{
 				{Archetype: "smashgrab", Count: 1},
 				{Archetype: "stuffer", Count: 1},

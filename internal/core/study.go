@@ -31,9 +31,9 @@ type StudyConfig struct {
 	Parallelism int
 	// SpillDir, when set, runs every era world with a spill-to-disk
 	// segmented log (one subdirectory per era) so peak RAM is bounded by
-	// the segment size instead of the world size, and the analyses run as
-	// a map-reduce over the segment files. The report is byte-identical
-	// to a monolithic run of the same Seed.
+	// the segment size instead of the world size, and the analyses read
+	// the segment files back in one ordered pass per era. The report is
+	// byte-identical to a monolithic run of the same Seed.
 	SpillDir string
 	// SegmentRecords caps records per segment (0 = logstore default);
 	// SegmentBytes optionally seals on encoded size instead. SpillGzip
@@ -263,10 +263,11 @@ func runAll(par int, jobs []func()) {
 // The engine has two parallel phases. First the five era worlds run
 // concurrently — each owns an independent seed, clock, and log, so the
 // phase is wall-clock-bound by the slowest era instead of the sum of all
-// five. Then the read-only analyses fan out across the worker pool over
-// the sealed logs. Both phases are deterministic at any parallelism:
-// every analysis writes a distinct StudyReport field, so the report is
-// byte-identical for a fixed Seed whatever StudyConfig.Parallelism says.
+// five. Then each sealed log is analyzed as one job on the worker pool,
+// its registry builders fanned out over every segment (registry.go).
+// Both phases are deterministic at any parallelism: every analysis writes
+// a distinct StudyReport field, so the report is byte-identical for a
+// fixed Seed whatever StudyConfig.Parallelism says.
 func RunStudy(sc StudyConfig) *StudyReport {
 	if sc.Scale <= 0 {
 		sc.Scale = 1

@@ -125,7 +125,7 @@ type Config struct {
 	// Spill, when Dir is set, builds the world's log as spill-to-disk
 	// segments instead of one in-RAM slice: peak memory is bounded by the
 	// segment size, not the world size, and the sealed log serves reads
-	// as a map-reduce over the segment files. Incompatible with
+	// segment by segment from the files. Incompatible with
 	// AuthLogRetentionDays — spilled segments are immutable. The Meta
 	// field is filled from the world's window and seed.
 	Spill logstore.SpillConfig

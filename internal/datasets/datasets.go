@@ -1,10 +1,10 @@
-// Package datasets implements Table 1 of the paper: the fourteen datasets
-// the study draws from its system logs. Each extractor mirrors the
-// original's source, filtering, and sampling step — including the manual
-// curation the authors describe ("both computers and humans alike are
-// imprecise at distinguishing phishing ... from scams and other bulk
-// spam"), which here separates ground-truth lures from the noisy
-// user-report stream the same way a human reviewer would.
+// Package datasets holds what Table 1's fourteen datasets share across the
+// analyses that draw them from the system logs: each dataset's
+// deterministic sampling stream (SampleN), the Dataset 4 record and the
+// Dataset 5 extractor. Each dataset's source filter and join — including
+// the manual curation the authors describe ("both computers and humans
+// alike are imprecise at distinguishing phishing ... from scams and other
+// bulk spam") — lives in the internal/analysis builder that consumes it.
 //
 // Sampling is deterministic per dataset id so a given world always yields
 // the same samples.
@@ -25,10 +25,9 @@ func sampleSeed(id int) *randx.Rand {
 }
 
 // SampleN draws up to n elements without replacement using dataset id's
-// deterministic sampling stream. It is exported so incremental analyses
-// (internal/analysis builders fed by the streaming bus) can reproduce the
-// exact sample — including its order — that the batch extractors draw,
-// which is what makes streaming-vs-batch reports DeepEqual. items is never
+// deterministic sampling stream. Every analysis path that builds a
+// dataset's population draws its sample here, so the batch, segmented and
+// streaming reports draw the same sample in the same order. items is never
 // mutated, but when len(items) <= n it is returned as-is: treat the result
 // as read-only.
 func SampleN[T any](id int, items []T, n int) []T {
@@ -36,102 +35,6 @@ func SampleN[T any](id int, items []T, n int) []T {
 		return items
 	}
 	return randx.Sample(sampleSeed(id), items, n)
-}
-
-// sampleN is the package-internal spelling of SampleN.
-func sampleN[T any](id int, items []T, n int) []T {
-	return SampleN(id, items, n)
-}
-
-// D1PhishingEmails returns the curated phishing-email sample (Dataset 1):
-// from the stream of user-reported mail, keep the actual credential
-// solicitations (the curation step) and sample up to n.
-//
-// Lures from targeted (contact-campaign) pages are excluded: at provider
-// scale, mass phishing dwarfs contact-targeted volume in the reported
-// stream, but the simulation boosts the contact loop for statistical
-// power, which would otherwise skew the Table 2 target mix.
-func D1PhishingEmails(s *logstore.Store, n int) []event.LureSent {
-	targeted := map[event.PageID]bool{}
-	for _, c := range logstore.Select[event.PageCreated](s) {
-		if c.Targeted {
-			targeted[c.Page] = true
-		}
-	}
-	reported := logstore.SelectWhere(s, func(l event.LureSent) bool {
-		return l.Reported && !targeted[l.Page]
-	})
-	return sampleN(1, reported, n)
-}
-
-// D2PhishingPages returns up to n pages detected by the anti-phishing
-// pipeline (Dataset 2), joined back to their creation records. Targeted
-// spear-phishing pages are excluded: Dataset 2 comes from pages found
-// "while indexing the web", and victim-list pages are mailed directly
-// rather than linked anywhere crawlable.
-func D2PhishingPages(s *logstore.Store, n int) []event.PageCreated {
-	created := make(map[event.PageID]event.PageCreated)
-	for _, c := range logstore.Select[event.PageCreated](s) {
-		if c.Targeted {
-			continue
-		}
-		created[c.Page] = c
-	}
-	var detected []event.PageCreated
-	for _, d := range logstore.Select[event.PageDetected](s) {
-		if c, ok := created[d.Page]; ok {
-			detected = append(detected, c)
-		}
-	}
-	return sampleN(2, detected, n)
-}
-
-// FormsPage bundles one Forms-hosted phishing page with its HTTP log
-// (Dataset 3).
-type FormsPage struct {
-	Page      event.PageCreated
-	Hits      []event.PageHit
-	TakenDown time.Time
-}
-
-// D3FormsPages returns up to n Forms-hosted pages that were taken down,
-// each with its full HTTP request log.
-func D3FormsPages(s *logstore.Store, n int) []FormsPage {
-	created := make(map[event.PageID]event.PageCreated)
-	for _, c := range logstore.Select[event.PageCreated](s) {
-		if c.OnForms {
-			created[c.Page] = c
-		}
-	}
-	down := make(map[event.PageID]time.Time)
-	for _, d := range logstore.Select[event.PageTakedown](s) {
-		down[d.Page] = d.When()
-	}
-	hits := make(map[event.PageID][]event.PageHit)
-	for _, h := range logstore.Select[event.PageHit](s) {
-		if _, ok := created[h.Page]; ok {
-			hits[h.Page] = append(hits[h.Page], h)
-		}
-	}
-	var pages []FormsPage
-	for id, c := range created {
-		td, isDown := down[id]
-		if !isDown {
-			continue
-		}
-		pages = append(pages, FormsPage{Page: c, Hits: hits[id], TakenDown: td})
-	}
-	// Deterministic order before sampling (map iteration is random).
-	sortFormsPages(pages)
-	return sampleN(3, pages, n)
-}
-
-func sortFormsPages(pages []FormsPage) {
-	for i := 1; i < len(pages); i++ {
-		for j := i; j > 0 && pages[j].Page.Page < pages[j-1].Page.Page; j-- {
-			pages[j], pages[j-1] = pages[j-1], pages[j]
-		}
-	}
 }
 
 // DecoyAccess pairs a decoy credential submission with the hijacker's
@@ -143,35 +46,6 @@ type DecoyAccess struct {
 	Accessed    bool
 }
 
-// D4DecoyAccesses returns every decoy submission joined with the first
-// subsequent hijacker login attempt on the account.
-func D4DecoyAccesses(s *logstore.Store) []DecoyAccess {
-	var out []DecoyAccess
-	submitted := make(map[identity.AccountID]int) // account → index in out
-	for _, c := range logstore.Select[event.CredentialPhished](s) {
-		if !c.Decoy {
-			continue
-		}
-		if _, dup := submitted[c.Account]; dup {
-			continue
-		}
-		submitted[c.Account] = len(out)
-		out = append(out, DecoyAccess{Account: c.Account, SubmittedAt: c.When()})
-	}
-	for _, l := range logstore.Select[event.Login](s) {
-		if l.Actor != event.ActorHijacker {
-			continue
-		}
-		idx, ok := submitted[l.Account]
-		if !ok || out[idx].Accessed || l.When().Before(out[idx].SubmittedAt) {
-			continue
-		}
-		out[idx].AccessedAt = l.When()
-		out[idx].Accessed = true
-	}
-	return out
-}
-
 // D5HijackerLogins returns the hijacker login attempts (Dataset 5's
 // population; the paper sampled 300 IPs/day — the analysis aggregates per
 // IP-day itself).
@@ -179,119 +53,4 @@ func D5HijackerLogins(s *logstore.Store) []event.Login {
 	return logstore.SelectWhere(s, func(l event.Login) bool {
 		return l.Actor == event.ActorHijacker
 	})
-}
-
-// D6SearchKeywords returns the search terms hijackers used while
-// exploring victims' mailboxes (Dataset 6 — the paper's temporary
-// search-term collection experiment).
-func D6SearchKeywords(s *logstore.Store) []event.Search {
-	return logstore.SelectWhere(s, func(q event.Search) bool {
-		return q.Actor == event.ActorHijacker
-	})
-}
-
-// D7HijackedAccounts returns up to n high-confidence manually hijacked
-// accounts (Dataset 7: 575 in the paper, selected via recovery claims
-// that clearly indicate manual hijacking). Here "high confidence" means a
-// completed hijack lifecycle in the log.
-func D7HijackedAccounts(s *logstore.Store, n int) []identity.AccountID {
-	seen := map[identity.AccountID]bool{}
-	var ids []identity.AccountID
-	for _, h := range logstore.Select[event.HijackStarted](s) {
-		if !seen[h.Account] {
-			seen[h.Account] = true
-			ids = append(ids, h.Account)
-		}
-	}
-	return sampleN(7, ids, n)
-}
-
-// D8HijackedMail returns up to n scam/phishing messages sent from the
-// given hijacked accounts (Dataset 8: 200 messages reviewed).
-func D8HijackedMail(s *logstore.Store, accounts []identity.AccountID, n int) []event.MessageSent {
-	inSet := make(map[identity.AccountID]bool, len(accounts))
-	for _, a := range accounts {
-		inSet[a] = true
-	}
-	msgs := logstore.SelectWhere(s, func(m event.MessageSent) bool {
-		return m.Actor == event.ActorHijacker && inSet[m.FromAcct]
-	})
-	return sampleN(8, msgs, n)
-}
-
-// D9ContactCohorts returns the two Dataset 9 cohorts: up to n provider
-// accounts that are contacts of hijacked accounts, and up to n random
-// active accounts (excluding the first cohort).
-func D9ContactCohorts(s *logstore.Store, dir *identity.Directory, now time.Time, n int) (contacts, random []identity.AccountID) {
-	hijacked := map[identity.AccountID]bool{}
-	for _, h := range logstore.Select[event.HijackStarted](s) {
-		hijacked[h.Account] = true
-	}
-	contactSet := map[identity.AccountID]bool{}
-	for id := range hijacked {
-		a := dir.Get(id)
-		if a == nil {
-			continue
-		}
-		for _, c := range a.Contacts {
-			if cid := dir.Lookup(c); cid != identity.None && !hijacked[cid] {
-				contactSet[cid] = true
-			}
-		}
-	}
-	var contactList, activeList []identity.AccountID
-	dir.All(func(a *identity.Account) {
-		switch {
-		case contactSet[a.ID]:
-			contactList = append(contactList, a.ID)
-		case !hijacked[a.ID] && a.Active(now):
-			activeList = append(activeList, a.ID)
-		}
-	})
-	return sampleN(9, contactList, n), sampleN(10, activeList, n)
-}
-
-// D11RecoveredAccounts returns up to n successfully recovered claims
-// (Dataset 11: 5000 recoveries backing Figure 9).
-func D11RecoveredAccounts(s *logstore.Store, n int) []event.ClaimResolved {
-	ok := logstore.SelectWhere(s, func(r event.ClaimResolved) bool { return r.Success })
-	return sampleN(11, ok, n)
-}
-
-// D12ClaimAttempts returns every legitimate verification attempt in the
-// window (Dataset 12: one month of claims backing Figure 10 — the paper
-// takes the full month "to avoid sample bias issues", so no sampling
-// here). Impostor attempts are excluded: at provider scale they are a
-// negligible sliver of claims, but the simulation's boosted hijack
-// intensity would otherwise drag every method's measured success rate
-// down with "not the claimant's phone" failures.
-func D12ClaimAttempts(s *logstore.Store, from, to time.Time) []event.ClaimAttempt {
-	return logstore.SelectWhere(s, func(a event.ClaimAttempt) bool {
-		return a.Actor != event.ActorHijacker &&
-			!a.When().Before(from) && a.When().Before(to)
-	})
-}
-
-// D13HijackIPs returns one login IP per hijack case, up to n cases
-// (Dataset 13: IPs of 3000 hijack cases, January 2014).
-func D13HijackIPs(s *logstore.Store, n int) []event.Login {
-	seen := map[identity.AccountID]bool{}
-	var cases []event.Login
-	for _, l := range D5HijackerLogins(s) {
-		if l.Outcome != event.LoginSuccess || seen[l.Account] {
-			continue
-		}
-		seen[l.Account] = true
-		cases = append(cases, l)
-	}
-	return sampleN(13, cases, n)
-}
-
-// D14HijackerPhones returns the phones hijackers enrolled for 2-step
-// verification lockouts (Dataset 14: 300 numbers, 2012).
-func D14HijackerPhones(s *logstore.Store, n int) []event.TwoSVEnrolled {
-	enrolls := logstore.SelectWhere(s, func(e event.TwoSVEnrolled) bool {
-		return e.Actor == event.ActorHijacker
-	})
-	return sampleN(14, enrolls, n)
 }

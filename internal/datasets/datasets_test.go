@@ -1,43 +1,24 @@
 package datasets
 
 import (
-	"net/netip"
 	"testing"
 	"time"
 
 	"manualhijack/internal/event"
-	"manualhijack/internal/identity"
 	"manualhijack/internal/logstore"
-	"manualhijack/internal/randx"
 )
 
 var t0 = time.Date(2012, 11, 1, 0, 0, 0, 0, time.UTC)
 
 func at(min int) event.Base { return event.Base{Time: t0.Add(time.Duration(min) * time.Minute)} }
 
-func TestD1CurationFiltersUnreported(t *testing.T) {
-	s := logstore.New()
-	for i := 0; i < 50; i++ {
-		s.Append(event.LureSent{Base: at(i), Victim: "a@b.edu", Target: event.TargetMail, Reported: i%5 == 0})
-	}
-	got := D1PhishingEmails(s, 100)
-	if len(got) != 10 {
-		t.Fatalf("curated = %d, want 10 reported", len(got))
-	}
-	for _, l := range got {
-		if !l.Reported {
-			t.Fatal("unreported lure in curated sample")
-		}
-	}
-}
-
 func TestD1Sampling(t *testing.T) {
-	s := logstore.New()
+	var lures []event.LureSent
 	for i := 0; i < 500; i++ {
-		s.Append(event.LureSent{Base: at(i), Reported: true})
+		lures = append(lures, event.LureSent{Base: at(i), Reported: true})
 	}
-	a := D1PhishingEmails(s, 100)
-	b := D1PhishingEmails(s, 100)
+	a := SampleN(1, lures, 100)
+	b := SampleN(1, lures, 100)
 	if len(a) != 100 {
 		t.Fatalf("sample = %d", len(a))
 	}
@@ -48,164 +29,12 @@ func TestD1Sampling(t *testing.T) {
 	}
 }
 
-func TestD2JoinsDetections(t *testing.T) {
-	s := logstore.New()
-	s.Append(event.PageCreated{Base: at(0), Page: 1, Target: event.TargetBank})
-	s.Append(event.PageCreated{Base: at(1), Page: 2, Target: event.TargetMail})
-	s.Append(event.PageDetected{Base: at(10), Page: 2})
-	got := D2PhishingPages(s, 10)
-	if len(got) != 1 || got[0].Page != 2 || got[0].Target != event.TargetMail {
-		t.Fatalf("detected pages = %+v", got)
-	}
-}
-
-func TestD3FormsPagesRequireTakedown(t *testing.T) {
-	s := logstore.New()
-	s.Append(event.PageCreated{Base: at(0), Page: 1, OnForms: true})
-	s.Append(event.PageCreated{Base: at(0), Page: 2, OnForms: true})
-	s.Append(event.PageCreated{Base: at(0), Page: 3, OnForms: false})
-	s.Append(event.PageHit{Base: at(5), Page: 1, Method: "GET"})
-	s.Append(event.PageHit{Base: at(6), Page: 1, Method: "POST", Victim: "x@y.edu"})
-	s.Append(event.PageHit{Base: at(6), Page: 3, Method: "GET"})
-	s.Append(event.PageTakedown{Base: at(60), Page: 1})
-	s.Append(event.PageTakedown{Base: at(61), Page: 3})
-
-	got := D3FormsPages(s, 10)
-	if len(got) != 1 {
-		t.Fatalf("forms pages = %d, want 1 (page 2 not taken down, page 3 not Forms)", len(got))
-	}
-	if got[0].Page.Page != 1 || len(got[0].Hits) != 2 {
-		t.Fatalf("page = %+v", got[0])
-	}
-	if !got[0].TakenDown.Equal(t0.Add(time.Hour)) {
-		t.Fatalf("takedown time = %v", got[0].TakenDown)
-	}
-}
-
-func TestD4DecoyJoin(t *testing.T) {
-	s := logstore.New()
-	s.Append(event.CredentialPhished{Base: at(0), Account: 1, Decoy: true})
-	s.Append(event.CredentialPhished{Base: at(1), Account: 2, Decoy: true})
-	s.Append(event.CredentialPhished{Base: at(2), Account: 3, Decoy: false})
-	// Owner login on account 1 must not count as access.
-	s.Append(event.Login{Base: at(5), Account: 1, Actor: event.ActorOwner, Outcome: event.LoginSuccess})
-	s.Append(event.Login{Base: at(30), Account: 1, Actor: event.ActorHijacker, Outcome: event.LoginSuccess})
-	s.Append(event.Login{Base: at(40), Account: 1, Actor: event.ActorHijacker, Outcome: event.LoginSuccess})
-
-	got := D4DecoyAccesses(s)
-	if len(got) != 2 {
-		t.Fatalf("decoys = %d, want 2", len(got))
-	}
-	if !got[0].Accessed || got[0].AccessedAt != t0.Add(30*time.Minute) {
-		t.Fatalf("first access = %+v (must be first hijacker login)", got[0])
-	}
-	if got[1].Accessed {
-		t.Fatal("unaccessed decoy marked accessed")
-	}
-}
-
-func TestD5AndD6FilterByActor(t *testing.T) {
+func TestD5FilterByActor(t *testing.T) {
 	s := logstore.New()
 	s.Append(event.Login{Base: at(0), Account: 1, Actor: event.ActorHijacker})
 	s.Append(event.Login{Base: at(1), Account: 2, Actor: event.ActorOwner})
-	s.Append(event.Search{Base: at(2), Account: 1, Query: "wire transfer", Actor: event.ActorHijacker})
-	s.Append(event.Search{Base: at(3), Account: 2, Query: "lunch", Actor: event.ActorOwner})
 
 	if got := D5HijackerLogins(s); len(got) != 1 || got[0].Account != 1 {
 		t.Fatalf("D5 = %+v", got)
-	}
-	if got := D6SearchKeywords(s); len(got) != 1 || got[0].Query != "wire transfer" {
-		t.Fatalf("D6 = %+v", got)
-	}
-}
-
-func TestD7DedupesAccounts(t *testing.T) {
-	s := logstore.New()
-	s.Append(event.HijackStarted{Base: at(0), Account: 1})
-	s.Append(event.HijackStarted{Base: at(1), Account: 1})
-	s.Append(event.HijackStarted{Base: at(2), Account: 2})
-	got := D7HijackedAccounts(s, 10)
-	if len(got) != 2 {
-		t.Fatalf("accounts = %v", got)
-	}
-}
-
-func TestD8FiltersBySetAndActor(t *testing.T) {
-	s := logstore.New()
-	s.Append(event.MessageSent{Base: at(0), FromAcct: 1, Class: event.ClassScam, Actor: event.ActorHijacker})
-	s.Append(event.MessageSent{Base: at(1), FromAcct: 1, Class: event.ClassOrganic, Actor: event.ActorOwner})
-	s.Append(event.MessageSent{Base: at(2), FromAcct: 9, Class: event.ClassScam, Actor: event.ActorHijacker})
-	got := D8HijackedMail(s, []identity.AccountID{1}, 10)
-	if len(got) != 1 || got[0].Class != event.ClassScam {
-		t.Fatalf("D8 = %+v", got)
-	}
-}
-
-func TestD9Cohorts(t *testing.T) {
-	cfg := identity.DefaultConfig(t0)
-	cfg.N = 300
-	dir := identity.NewDirectory(randx.New(1), cfg)
-	s := logstore.New()
-	s.Append(event.HijackStarted{Base: at(0), Account: 1})
-	s.Append(event.HijackStarted{Base: at(1), Account: 2})
-
-	contacts, random := D9ContactCohorts(s, dir, t0.Add(time.Hour), 50)
-	if len(contacts) == 0 || len(random) == 0 {
-		t.Fatalf("cohorts = %d/%d", len(contacts), len(random))
-	}
-	inContacts := map[identity.AccountID]bool{}
-	for _, id := range contacts {
-		if id == 1 || id == 2 {
-			t.Fatal("hijacked account in contact cohort")
-		}
-		inContacts[id] = true
-	}
-	for _, id := range random {
-		if inContacts[id] || id == 1 || id == 2 {
-			t.Fatal("random cohort overlaps contacts or victims")
-		}
-	}
-}
-
-func TestD11OnlySuccesses(t *testing.T) {
-	s := logstore.New()
-	s.Append(event.ClaimResolved{Base: at(0), Account: 1, Success: true})
-	s.Append(event.ClaimResolved{Base: at(1), Account: 2, Success: false})
-	got := D11RecoveredAccounts(s, 10)
-	if len(got) != 1 || got[0].Account != 1 {
-		t.Fatalf("D11 = %+v", got)
-	}
-}
-
-func TestD12WindowFilter(t *testing.T) {
-	s := logstore.New()
-	s.Append(event.ClaimAttempt{Base: at(0), Method: event.MethodSMS})
-	s.Append(event.ClaimAttempt{Base: at(60 * 24 * 40), Method: event.MethodEmail})
-	got := D12ClaimAttempts(s, t0, t0.Add(30*24*time.Hour))
-	if len(got) != 1 || got[0].Method != event.MethodSMS {
-		t.Fatalf("D12 = %+v", got)
-	}
-}
-
-func TestD13OneIPPerCase(t *testing.T) {
-	s := logstore.New()
-	ip1 := netip.MustParseAddr("10.0.0.1")
-	ip2 := netip.MustParseAddr("10.0.0.2")
-	s.Append(event.Login{Base: at(0), Account: 1, IP: ip1, Actor: event.ActorHijacker, Outcome: event.LoginSuccess})
-	s.Append(event.Login{Base: at(1), Account: 1, IP: ip2, Actor: event.ActorHijacker, Outcome: event.LoginSuccess})
-	s.Append(event.Login{Base: at(2), Account: 2, IP: ip2, Actor: event.ActorHijacker, Outcome: event.LoginWrongPassword})
-	got := D13HijackIPs(s, 100)
-	if len(got) != 1 || got[0].IP != ip1 {
-		t.Fatalf("D13 = %+v (one successful login per case)", got)
-	}
-}
-
-func TestD14HijackerPhonesOnly(t *testing.T) {
-	s := logstore.New()
-	s.Append(event.TwoSVEnrolled{Base: at(0), Account: 1, Phone: "+2251", Actor: event.ActorHijacker})
-	s.Append(event.TwoSVEnrolled{Base: at(1), Account: 2, Phone: "+15551", Actor: event.ActorOwner})
-	got := D14HijackerPhones(s, 10)
-	if len(got) != 1 || got[0].Phone != "+2251" {
-		t.Fatalf("D14 = %+v", got)
 	}
 }

@@ -51,29 +51,6 @@ func BenchmarkSelectIndexed(b *testing.B) {
 	}
 }
 
-func BenchmarkBetweenScan(b *testing.B) {
-	s := benchStore(200000)
-	from, to := t0.Add(1000*time.Second), t0.Add(2000*time.Second)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := s.Between(from, to); len(got) == 0 {
-			b.Fatal("empty window")
-		}
-	}
-}
-
-func BenchmarkBetweenIndexed(b *testing.B) {
-	s := benchStore(200000)
-	s.Seal()
-	from, to := t0.Add(1000*time.Second), t0.Add(2000*time.Second)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := s.Between(from, to); len(got) == 0 {
-			b.Fatal("empty window")
-		}
-	}
-}
-
 // ndjsonDump renders a ≥200k-record dump once; the decode benchmarks
 // re-read it per iteration. JSON unmarshal is the ingest CPU bottleneck,
 // so sharded decode should beat the sequential reader at GOMAXPROCS>1.

@@ -4,9 +4,10 @@
 // The paper notes that its 14 datasets were aggregated from system logs
 // "via map-reduce computation" and that, for privacy and storage reasons,
 // many authentication-related logs are sanitized or erased within a short
-// time window. Both properties are modeled here: MapReduce provides a
-// deterministic parallel aggregation framework, and Retention applies
-// kind-scoped erasure windows.
+// time window. Both properties are modeled here: ScanSegments hands the
+// log out one storage unit at a time for the analysis runner in
+// internal/core to fan out, and Retention applies kind-scoped erasure
+// windows.
 //
 // # Store lifecycle: single-writer build, sealed concurrent reads
 //
@@ -21,11 +22,10 @@
 //   - Sealed phase. Seal freezes the log, builds a per-kind partition
 //     index, and publishes the frozen state with an atomic release-store.
 //     From then on any number of goroutines may read concurrently —
-//     Select/SelectWhere touch only the matching kind partition, Between
-//     binary-searches the time-ordered log, and KindCounts answers from
-//     the index without visiting records. Observing Sealed() == true is
-//     the cross-goroutine handoff: it happens-after everything the writer
-//     did.
+//     Select/SelectWhere touch only the matching kind partition, and
+//     KindCounts answers from the index without visiting records.
+//     Observing Sealed() == true is the cross-goroutine handoff: it
+//     happens-after everything the writer did.
 //
 // Misuse that is cheap to detect panics: appending to a sealed store, and
 // out-of-order appends. Cross-goroutine reads of an unsealed store cannot
@@ -38,9 +38,7 @@
 package logstore
 
 import (
-	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -237,8 +235,9 @@ func (s *Store) Scan(fn func(event.Event)) {
 // (decode-ahead applies, like Scan), or the whole log as unit 0 for an
 // in-RAM store. Callers must treat the slice as read-only and not retain
 // it past the callback: a segmented store recycles it through the cache.
-// This is the hook for per-segment parallel reduction — fold each
-// delivered unit into a shard, merge shards in unit order.
+// This is the analysis runner's hook: it fans each delivered unit out
+// across all its builders and lets every one finish before asking for the
+// next, so each segment is decoded once per pass, not once per analysis.
 func (s *Store) ScanSegments(fn func(seg int, events []event.Event)) {
 	if sp := s.spill; sp != nil {
 		if !s.sealed.Load() {
@@ -318,33 +317,6 @@ func forEachOfType[T event.Event](s *Store, fn func(T)) {
 	})
 }
 
-// Between returns records with from <= When < to, preserving order. On a
-// sealed store the window is located by binary search and the returned
-// slice aliases the frozen log; callers must treat it as read-only.
-func (s *Store) Between(from, to time.Time) []event.Event {
-	if s.Segmented() {
-		return s.spill.between(from, to)
-	}
-	events := s.events
-	if s.sealed.Load() {
-		lo := sort.Search(len(events), func(i int) bool { return !events[i].When().Before(from) })
-		hi := sort.Search(len(events), func(i int) bool { return !events[i].When().Before(to) })
-		if lo >= hi {
-			return nil
-		}
-		// Full-cap slice so an appending caller cannot clobber the log.
-		return events[lo:hi:hi]
-	}
-	var out []event.Event
-	for _, e := range events {
-		w := e.When()
-		if !w.Before(from) && w.Before(to) {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // Retention is a kind-scoped erasure policy: records of Kinds older than
 // Window (relative to "now") are erased. A nil Kinds slice applies to all
 // kinds.
@@ -395,106 +367,6 @@ func (s *Store) Sanitize(now time.Time, policy Retention) int {
 		s.rebuildIndex()
 	}
 	return erased
-}
-
-// KV is one key/value pair emitted by a mapper.
-type KV[K comparable, V any] struct {
-	Key K
-	Val V
-}
-
-// MapReduce runs mapper over every record in parallel shards, groups the
-// emitted pairs by key, and reduces each key's values. Despite the
-// parallel map phase, the result is deterministic: values reach the
-// reducer in original log order.
-func MapReduce[K comparable, V any, R any](
-	s *Store,
-	mapper func(event.Event) []KV[K, V],
-	reducer func(K, []V) R,
-) map[K]R {
-	if s.Segmented() {
-		// Stream segments in log order on one goroutine: grouping still
-		// sees values in original order, so results are byte-identical
-		// to the sharded in-RAM path.
-		groups := make(map[K][]V)
-		s.Scan(func(e event.Event) {
-			for _, kv := range mapper(e) {
-				groups[kv.Key] = append(groups[kv.Key], kv.Val)
-			}
-		})
-		result := make(map[K]R, len(groups))
-		for k, vs := range groups {
-			result[k] = reducer(k, vs)
-		}
-		return result
-	}
-	events := s.snapshot()
-	shards := runtime.GOMAXPROCS(0)
-	if shards > len(events) {
-		shards = len(events)
-	}
-	if shards < 1 {
-		shards = 1
-	}
-
-	type indexed struct {
-		idx int
-		kv  KV[K, V]
-	}
-	outs := make([][]indexed, shards)
-	var wg sync.WaitGroup
-	chunk := (len(events) + shards - 1) / shards
-	for sh := 0; sh < shards; sh++ {
-		lo := sh * chunk
-		hi := lo + chunk
-		if hi > len(events) {
-			hi = len(events)
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(sh, lo, hi int) {
-			defer wg.Done()
-			var local []indexed
-			for i := lo; i < hi; i++ {
-				for _, kv := range mapper(events[i]) {
-					local = append(local, indexed{idx: i, kv: kv})
-				}
-			}
-			outs[sh] = local
-		}(sh, lo, hi)
-	}
-	wg.Wait()
-
-	// Group by key. Shards are already internally ordered and cover
-	// disjoint ascending index ranges, so appending shard-by-shard in
-	// order preserves global log order per key.
-	groups := make(map[K][]V)
-	for _, shard := range outs {
-		for _, iv := range shard {
-			groups[iv.kv.Key] = append(groups[iv.kv.Key], iv.kv.Val)
-		}
-	}
-	result := make(map[K]R, len(groups))
-	for k, vs := range groups {
-		result[k] = reducer(k, vs)
-	}
-	return result
-}
-
-// CountBy is a MapReduce convenience that counts records by a key function
-// (key extraction returning ok=false skips the record).
-func CountBy[K comparable](s *Store, key func(event.Event) (K, bool)) map[K]int {
-	return MapReduce(s,
-		func(e event.Event) []KV[K, struct{}] {
-			if k, ok := key(e); ok {
-				return []KV[K, struct{}]{{Key: k}}
-			}
-			return nil
-		},
-		func(_ K, vs []struct{}) int { return len(vs) },
-	)
 }
 
 // KindCounts tallies records by kind (an aggregate useful for log-volume

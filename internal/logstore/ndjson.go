@@ -201,8 +201,8 @@ type ReadStats struct {
 // ReadNDJSON reconstructs a store from WriteNDJSON output in strict mode.
 // The returned store is sealed: a dumped log is complete by construction,
 // so the load is the moment the kind index can be built — readers get the
-// same index-backed fast paths (Select, Between, KindCounts) a live world
-// gets after World.Run.
+// same index-backed fast paths (Select, KindCounts) a live world gets
+// after World.Run.
 func ReadNDJSON(r io.Reader) (*Store, error) {
 	s, _, err := ReadNDJSONWith(r, ReadOptions{})
 	return s, err

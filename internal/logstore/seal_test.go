@@ -46,10 +46,6 @@ func TestSealPreservesReads(t *testing.T) {
 	if got, want := SelectWhere(sealed, pred), SelectWhere(unsealed, pred); !reflect.DeepEqual(got, want) {
 		t.Fatalf("SelectWhere diverges: %d vs %d", len(got), len(want))
 	}
-	from, to := t0.Add(30*time.Second), t0.Add(90*time.Second)
-	if got, want := sealed.Between(from, to), unsealed.Between(from, to); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Between diverges: %d vs %d", len(got), len(want))
-	}
 	if got, want := sealed.KindCounts(), unsealed.KindCounts(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("KindCounts diverges: %v vs %v", got, want)
 	}
@@ -63,27 +59,6 @@ func TestSealEmptySelectStaysNil(t *testing.T) {
 	s.Seal()
 	if got := Select[event.Remission](s); got != nil {
 		t.Fatalf("empty partition select = %#v, want nil", got)
-	}
-	if got := s.Between(t0.Add(-2*time.Hour), t0.Add(-time.Hour)); got != nil {
-		t.Fatalf("empty window = %#v, want nil", got)
-	}
-}
-
-func TestSealBetweenBoundaries(t *testing.T) {
-	s := New()
-	for i := 0; i < 24; i++ {
-		s.Append(login(t0.Add(time.Duration(i)*time.Hour), 1, event.ActorOwner))
-	}
-	s.Seal()
-	got := s.Between(t0.Add(5*time.Hour), t0.Add(10*time.Hour))
-	if len(got) != 5 {
-		t.Fatalf("between = %d, want 5 (from inclusive, to exclusive)", len(got))
-	}
-	if got[0].When() != t0.Add(5*time.Hour) || got[4].When() != t0.Add(9*time.Hour) {
-		t.Fatalf("window edges wrong: %v .. %v", got[0].When(), got[4].When())
-	}
-	if all := s.Between(t0.Add(-time.Hour), t0.Add(48*time.Hour)); len(all) != 24 {
-		t.Fatalf("full window = %d, want 24", len(all))
 	}
 }
 
@@ -139,8 +114,8 @@ func TestSealedConcurrentReads(t *testing.T) {
 	s.Seal()
 
 	wantLogins := Select[event.Login](s)
-	from, to := t0.Add(100*time.Second), t0.Add(900*time.Second)
-	wantWindow := s.Between(from, to)
+	pred := func(l event.Login) bool { return l.Account == 3 }
+	wantWhere := SelectWhere(s, pred)
 	wantCounts := s.KindCounts()
 
 	var wg sync.WaitGroup
@@ -155,13 +130,14 @@ func TestSealedConcurrentReads(t *testing.T) {
 					errs <- "Select diverged"
 				}
 			case 1:
-				if got := s.Between(from, to); !reflect.DeepEqual(got, wantWindow) {
-					errs <- "Between diverged"
+				if got := SelectWhere(s, pred); !reflect.DeepEqual(got, wantWhere) {
+					errs <- "SelectWhere diverged"
 				}
 			case 2:
-				counts := CountBy(s, func(e event.Event) (event.Kind, bool) { return e.EventKind(), true })
+				counts := map[event.Kind]int{}
+				s.Scan(func(e event.Event) { counts[e.EventKind()]++ })
 				if !reflect.DeepEqual(counts, wantCounts) {
-					errs <- "MapReduce diverged"
+					errs <- "Scan diverged"
 				}
 			case 3:
 				if got := s.KindCounts(); !reflect.DeepEqual(got, wantCounts) {

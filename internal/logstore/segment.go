@@ -6,10 +6,10 @@ package logstore
 // during the single-writer build phase, time-contiguous segments seal at a
 // record (or approximate byte) threshold and spill to versioned NDJSON(.gz)
 // segment files, so the store holds only the active segment plus a small
-// decoded-segment cache. After Seal, every read path (Scan, Select,
-// Between, KindCounts, MapReduce) streams segments back through the cache
-// in log order — analyses run over million-user worlds in RAM bounded by
-// the segment size, not the world size.
+// decoded-segment cache. After Seal, every read path (Scan, ScanSegments,
+// Select, KindCounts) streams segments back through the cache in log
+// order — analyses run over million-user worlds in RAM bounded by the
+// segment size, not the world size.
 //
 // Segment files reuse the version-2 dump format verbatim (one header line,
 // then envelope lines), with the header's start/end carrying the segment's
@@ -513,7 +513,7 @@ func (sp *spillState) scan(fn func(event.Event)) {
 }
 
 // scanSegments delivers whole decoded segments (with their index) in
-// order — the hook core uses to fold per-segment shards without a second
+// order — the hook core uses to feed every analysis builder from one
 // decode pass.
 func (sp *spillState) scanSegments(fn func(seg int, events []event.Event)) {
 	ahead := sp.cfg.ScanWorkers
@@ -553,22 +553,6 @@ func (sp *spillState) scanKind(k event.Kind, fn func(event.Event)) {
 			}
 		}
 	}
-}
-
-// between materializes the [from, to) window across segments, skipping
-// segments wholly outside it.
-func (sp *spillState) between(from, to time.Time) []event.Event {
-	var out []event.Event
-	for i, seg := range sp.segs {
-		if seg.Last.Before(from) || !seg.First.Before(to) {
-			continue
-		}
-		evs := sp.cache.get(i)
-		lo := sort.Search(len(evs), func(j int) bool { return !evs[j].When().Before(from) })
-		hi := sort.Search(len(evs), func(j int) bool { return !evs[j].When().Before(to) })
-		out = append(out, evs[lo:hi]...)
-	}
-	return out
 }
 
 // segCache is a small LRU of decoded segments, safe for the sealed phase's

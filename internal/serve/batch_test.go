@@ -80,8 +80,8 @@ func TestBatchPerLineErrors(t *testing.T) {
 	body := strings.Join([]string{
 		`{"account":1,"ip":"1.2.3.4","at":"2012-11-02T09:00:00Z","password_ok":true}`,
 		``, // blank: skipped, no response line
-		`{"account":0,"ip":"1.2.3.4","at":"2012-11-02T09:00:00Z"}`,  // missing account
-		`not json at all`,                                           // parse failure
+		`{"account":0,"ip":"1.2.3.4","at":"2012-11-02T09:00:00Z"}`, // missing account
+		`not json at all`, // parse failure
 		`{"op":"frobnicate","account":1,"ip":"1.2.3.4","at":"2012-11-02T09:00:00Z"}`, // unknown op
 		`{"op":"outcome","account":1,"ip":"1.2.3.4","at":"2012-11-02T09:01:00Z","success":true}`,
 	}, "\n")

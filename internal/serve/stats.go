@@ -93,7 +93,7 @@ func (m *Metrics) Snapshot() StatzResponse {
 // mutex-guarded ring serialized every score and outcome request through
 // one lock; this version's two uncontended-by-design atomics don't.
 type latRing struct {
-	cursor atomic.Int64            // total observations ever; slot = (cursor-1) % latWindow
+	cursor atomic.Int64             // total observations ever; slot = (cursor-1) % latWindow
 	buf    [latWindow]atomic.Uint64 // math.Float64bits of each latency
 }
 

@@ -29,10 +29,8 @@ func (c *Counter) AddN(key string, n int) {
 	c.total += n
 }
 
-// Merge folds other's counts into c. Because a Counter is insensitive to
-// the order keys were added, merging per-partition counters reproduces the
-// single-pass counter exactly — the property the segmented map-reduce
-// analyses lean on.
+// Merge folds other's counts into c. A Counter is insensitive to the order
+// keys were added, so merging equals counting both inputs in one Counter.
 func (c *Counter) Merge(other *Counter) {
 	for k, n := range other.counts {
 		c.AddN(k, n)
@@ -110,22 +108,7 @@ func (s *Sample) Add(x float64) {
 // AddDuration appends a duration observation in seconds.
 func (s *Sample) AddDuration(d time.Duration) { s.Add(d.Seconds()) }
 
-// Merge appends other's observations, preserving their insertion order.
-// Merging per-partition samples partition by partition reproduces the
-// single-pass sample exactly — including the insertion order that
-// left-fold float reductions (Sum, Mean) depend on — the property the
-// segmented map-reduce analyses lean on.
-func (s *Sample) Merge(other *Sample) {
-	if other.N() == 0 {
-		return
-	}
-	s.xs = append(s.xs, other.xs...)
-	s.sorted = nil
-}
-
-// Sum returns the observations' left-fold sum in insertion order, so a
-// sample built by ordered Merge yields bit-identical totals to one built
-// by sequential Adds.
+// Sum returns the observations' left-fold sum in insertion order.
 func (s *Sample) Sum() float64 {
 	sum := 0.0
 	for _, x := range s.xs {
@@ -288,22 +271,6 @@ func (ts *TimeSeries) ObserveN(t time.Time, n int) {
 		ts.counts = append(ts.counts, 0)
 	}
 	ts.counts[idx] += n
-}
-
-// Merge folds other's bucket counts into ts. Both series must share the
-// same origin and width (the segmented shards are built from one
-// constructor, so they always do); counts are additive per bucket and the
-// result extends to the longer series.
-func (ts *TimeSeries) Merge(other *TimeSeries) {
-	if !ts.Start.Equal(other.Start) || ts.Width != other.Width {
-		panic("stats: merging misaligned time series")
-	}
-	for len(ts.counts) < len(other.counts) {
-		ts.counts = append(ts.counts, 0)
-	}
-	for i, c := range other.counts {
-		ts.counts[i] += c
-	}
 }
 
 // Counts returns the bucket counts (a copy).

@@ -109,7 +109,9 @@ func (l *Lifecycle) Observe(e event.Event) { l.b.Observe(e) }
 func (l *Lifecycle) Report(r *Report)      { r.Lifecycle = l.b.Lifecycle() }
 
 // Scorecard streams the per-archetype detection scorecard.
-type Scorecard struct{ b *analysis.ArchetypeScorecardBuilder }
+type Scorecard struct {
+	b *analysis.ArchetypeScorecardBuilder
+}
 
 // NewScorecard returns an empty streaming scorecard.
 func NewScorecard() *Scorecard {
