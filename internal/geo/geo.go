@@ -56,15 +56,19 @@ var phoneCodes = map[Country]string{
 	Japan: "81", Mexico: "52",
 }
 
-// AllCountries lists every country in the registry in a stable order.
-func AllCountries() []Country {
+// allCountries is the registry's countries, sorted once at start-up.
+var allCountries = func() []Country {
 	out := make([]Country, 0, len(phoneCodes))
 	for c := range phoneCodes {
 		out = append(out, c)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
+}()
+
+// AllCountries lists every country in the registry in a stable (sorted)
+// order. The slice is shared: callers must not modify it.
+func AllCountries() []Country { return allCountries }
 
 // PhoneCode returns the E.164 calling code for a country, or "" if unknown.
 func PhoneCode(c Country) string { return phoneCodes[c] }

@@ -115,6 +115,15 @@ func TestAllCountriesSortedStable(t *testing.T) {
 	}
 }
 
+// AllCountries sits on per-event paths (owner travel, phishing-page
+// visits), so it must return the shared slice, not build one per call.
+func TestAllCountriesNoAlloc(t *testing.T) {
+	var sink []Country
+	if n := testing.AllocsPerRun(100, func() { sink = AllCountries() }); n != 0 || len(sink) == 0 {
+		t.Fatalf("AllCountries allocates %.0f times per call, want 0", n)
+	}
+}
+
 // Property: every generated address for a registered country is located
 // back to that country, for arbitrary RNG seeds.
 func TestAddrLocateProperty(t *testing.T) {

@@ -494,7 +494,8 @@ func (c *Crew) assess(acct identity.AccountID, sess event.SessionID, start time.
 		elapsed += step
 		c.clock.Schedule(start.Add(elapsed), func() {
 			term := c.searchTerm()
-			if c.mail.Search(acct, term, sess, event.ActorHijacker) > 0 && isFinanceTerm(term) {
+			c.mail.Search(acct, term, sess, event.ActorHijacker)
+			if isFinanceTerm(term) && c.mail.Mailbox(acct).CountMatching(term) > 0 {
 				state.financeHits++
 			}
 		})

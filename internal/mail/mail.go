@@ -12,6 +12,7 @@
 package mail
 
 import (
+	"slices"
 	"strings"
 	"time"
 
@@ -48,29 +49,29 @@ type Filter struct {
 
 // Mailbox is one account's mail state.
 type Mailbox struct {
-	Account   identity.AccountID
-	messages  map[event.MessageID]*Message
-	order     []event.MessageID // delivery order, for deterministic scans
+	Account identity.AccountID
+	// msgs holds the live messages by value, in delivery order. One slice
+	// per mailbox rather than a map of pointers keeps a message from being
+	// its own heap object for the world's lifetime.
+	msgs      []Message
 	Filters   []Filter
 	ReplyTo   identity.Address
 	replyToBy event.Actor
 	// backup holds messages removed by MassDelete so Restore can undo the
 	// hijacker's deletion (the defense added between 2011 and 2012).
-	backup []*Message
+	backup []Message
 	// deletedContacts holds the contact list if a hijacker wiped it.
 	deletedContacts []identity.Address
 	contactsWiped   bool
 }
 
 // Len returns the number of live messages.
-func (mb *Mailbox) Len() int { return len(mb.messages) }
+func (mb *Mailbox) Len() int { return len(mb.msgs) }
 
 // scan iterates live messages in delivery order.
 func (mb *Mailbox) scan(fn func(*Message)) {
-	for _, id := range mb.order {
-		if m, ok := mb.messages[id]; ok {
-			fn(m)
-		}
+	for i := range mb.msgs {
+		fn(&mb.msgs[i])
 	}
 }
 
@@ -182,7 +183,8 @@ type ActionInfo struct {
 	ForwardOut bool
 }
 
-// SetDeliveryHook installs the per-delivery observer.
+// SetDeliveryHook installs the per-delivery observer. The message it is
+// handed is valid only during the call: the hook copies what it needs.
 func (s *Service) SetDeliveryHook(fn func(rcpt identity.AccountID, m *Message)) {
 	s.deliveryHook = fn
 }
@@ -209,10 +211,7 @@ func NewService(dir *identity.Directory, clock *simtime.Clock, log *logstore.Sto
 		boxes: make(map[identity.AccountID]*Mailbox, dir.Len()),
 	}
 	dir.All(func(a *identity.Account) {
-		s.boxes[a.ID] = &Mailbox{
-			Account:  a.ID,
-			messages: make(map[event.MessageID]*Message),
-		}
+		s.boxes[a.ID] = &Mailbox{Account: a.ID}
 	})
 	return s
 }
@@ -272,6 +271,7 @@ func (s *Service) Seed(r *randx.Rand, cfg SeedConfig) {
 		mb := s.boxes[a.ID]
 		hasFinance := gen.Bool(cfg.FinanceAccountRate)
 		n := 1 + gen.Poisson(float64(cfg.MeanMessages))
+		mb.msgs = slices.Grow(mb.msgs, n)
 		for i := 0; i < n; i++ {
 			var kw []string
 			switch {
@@ -297,7 +297,7 @@ func (s *Service) Seed(r *randx.Rand, cfg SeedConfig) {
 				from = a.Addr
 			}
 			s.nextMsg++
-			m := &Message{
+			mb.msgs = append(mb.msgs, Message{
 				ID:       s.nextMsg,
 				From:     from,
 				Keywords: kw,
@@ -305,9 +305,7 @@ func (s *Service) Seed(r *randx.Rand, cfg SeedConfig) {
 				Folder:   folder,
 				Starred:  gen.Bool(cfg.StarRate),
 				Received: now.Add(-gen.ExpDuration(90 * 24 * time.Hour)),
-			}
-			mb.messages[m.ID] = m
-			mb.order = append(mb.order, m.ID)
+			})
 		}
 	})
 }
@@ -338,13 +336,11 @@ func (s *Service) Send(req SendReq) event.MessageID {
 		if mb := s.boxes[req.FromAcct]; mb != nil {
 			replyTo = mb.ReplyTo
 			// Record a copy in the sender's Sent folder.
-			sent := &Message{
+			mb.msgs = append(mb.msgs, Message{
 				ID: id, From: req.FromAddr, Keywords: req.Keywords,
 				Class: req.Class, Folder: event.FolderSent, Received: now,
 				PageID: req.PageID, ReplyTo: replyTo,
-			}
-			mb.messages[id] = sent
-			mb.order = append(mb.order, id)
+			})
 		}
 	}
 
@@ -354,9 +350,8 @@ func (s *Service) Send(req SendReq) event.MessageID {
 			continue // external recipient: delivery is out of scope
 		}
 		mb := s.boxes[rid]
-		copyID := s.nextCopyID()
-		m := &Message{
-			ID: copyID, From: req.FromAddr, Keywords: req.Keywords,
+		m := Message{
+			ID: s.nextCopyID(), From: req.FromAddr, Keywords: req.Keywords,
 			Class: req.Class, Folder: event.FolderInbox, Received: now,
 			PageID: req.PageID, ReplyTo: replyTo,
 		}
@@ -370,10 +365,9 @@ func (s *Service) Send(req SendReq) event.MessageID {
 				m.Forwarded = true
 			}
 		}
-		mb.messages[copyID] = m
-		mb.order = append(mb.order, copyID)
+		mb.msgs = append(mb.msgs, m)
 		if s.deliveryHook != nil {
-			s.deliveryHook(rid, m)
+			s.deliveryHook(rid, &m)
 		}
 	}
 
@@ -399,32 +393,32 @@ func (s *Service) nextCopyID() event.MessageID {
 	return s.nextMsg
 }
 
-// Search runs a mailbox search, logs it, and returns the number of hits.
-func (s *Service) Search(acct identity.AccountID, query string, sess event.SessionID, actor event.Actor) int {
-	mb := s.boxes[acct]
-	if mb == nil {
-		return 0
+// Search logs a mailbox search. It is an action, not a query: it does not
+// scan the mailbox, because what the measurement pipeline sees of a search
+// is its event. A caller that needs the hit count asks the mailbox with
+// CountMatching.
+func (s *Service) Search(acct identity.AccountID, query string, sess event.SessionID, actor event.Actor) {
+	if s.boxes[acct] == nil {
+		return
 	}
 	s.log.Append(event.Search{
 		Base: event.Base{Time: s.clock.Now()}, Account: acct, Query: query,
 		Session: sess, Actor: actor,
 	})
 	s.observe(acct, sess, ActionInfo{Type: "search", Query: query})
-	return mb.CountMatching(query)
 }
 
-// OpenFolder logs a folder view and returns the messages in it.
-func (s *Service) OpenFolder(acct identity.AccountID, f event.Folder, sess event.SessionID, actor event.Actor) []event.MessageID {
-	mb := s.boxes[acct]
-	if mb == nil {
-		return nil
+// OpenFolder logs a folder view. Like Search it does not scan the mailbox;
+// Mailbox.InFolder lists a folder's messages.
+func (s *Service) OpenFolder(acct identity.AccountID, f event.Folder, sess event.SessionID, actor event.Actor) {
+	if s.boxes[acct] == nil {
+		return
 	}
 	s.log.Append(event.FolderOpened{
 		Base: event.Base{Time: s.clock.Now()}, Account: acct, Folder: f,
 		Session: sess, Actor: actor,
 	})
 	s.observe(acct, sess, ActionInfo{Type: "folder_open", Folder: f})
-	return mb.InFolder(f)
 }
 
 // ViewContacts logs a contact-list view and returns the contacts.
@@ -483,14 +477,9 @@ func (s *Service) MassDelete(acct identity.AccountID, sess event.SessionID, acto
 	if mb == nil || a == nil {
 		return 0
 	}
-	n := len(mb.messages)
-	for _, id := range mb.order {
-		if m, ok := mb.messages[id]; ok {
-			mb.backup = append(mb.backup, m)
-		}
-	}
-	mb.messages = make(map[event.MessageID]*Message)
-	mb.order = nil
+	n := len(mb.msgs)
+	mb.backup = append(mb.backup, mb.msgs...)
+	mb.msgs = nil
 	if !mb.contactsWiped {
 		mb.deletedContacts = a.Contacts
 		a.Contacts = nil
@@ -514,13 +503,9 @@ func (s *Service) Restore(acct identity.AccountID) (restored int, cleared bool) 
 	if mb == nil || a == nil {
 		return 0, false
 	}
-	for _, m := range mb.backup {
-		if _, live := mb.messages[m.ID]; !live {
-			mb.messages[m.ID] = m
-			mb.order = append(mb.order, m.ID)
-			restored++
-		}
-	}
+	// Message IDs are never reused, so no backed-up message is live.
+	mb.msgs = append(mb.msgs, mb.backup...)
+	restored = len(mb.backup)
 	mb.backup = nil
 	if mb.contactsWiped {
 		a.Contacts = mb.deletedContacts

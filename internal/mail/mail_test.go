@@ -1,6 +1,8 @@
 package mail
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -94,12 +96,14 @@ func TestSearchLogsAndCounts(t *testing.T) {
 		Keywords:   []string{"wire transfer", "urgent"}, Class: event.ClassOrganic,
 		Actor: event.ActorOwner,
 	})
-	hits := f.svc.Search(a.ID, "wire transfer", 1, event.ActorHijacker)
-	if hits != 1 {
+	mb := f.svc.Mailbox(a.ID)
+	f.svc.Search(a.ID, "wire transfer", 1, event.ActorHijacker)
+	if hits := mb.CountMatching("wire transfer"); hits != 1 {
 		t.Fatalf("hits = %d, want 1", hits)
 	}
 	// Case-insensitive substring match.
-	if got := f.svc.Search(a.ID, "WIRE", 1, event.ActorHijacker); got != 1 {
+	f.svc.Search(a.ID, "WIRE", 1, event.ActorHijacker)
+	if got := mb.CountMatching("WIRE"); got != 1 {
 		t.Fatalf("case-insensitive hits = %d, want 1", got)
 	}
 	searches := logstore.Select[event.Search](f.log)
@@ -112,24 +116,21 @@ func TestFolderAndStarredSemantics(t *testing.T) {
 	f := newFixture(t, 5, 5)
 	mb := f.svc.Mailbox(1)
 	// Hand-plant messages.
-	mb.messages = map[event.MessageID]*Message{
-		1: {ID: 1, Folder: event.FolderInbox, Starred: true},
-		2: {ID: 2, Folder: event.FolderDrafts},
-		3: {ID: 3, Folder: event.FolderSent, Starred: true},
+	mb.msgs = []Message{
+		{ID: 1, Folder: event.FolderInbox, Starred: true},
+		{ID: 2, Folder: event.FolderDrafts},
+		{ID: 3, Folder: event.FolderSent, Starred: true},
 	}
-	mb.order = []event.MessageID{1, 2, 3}
 	if got := len(mb.InFolder(event.FolderStarred)); got != 2 {
 		t.Fatalf("starred = %d, want 2 (flag spans folders)", got)
 	}
 	if got := len(mb.InFolder(event.FolderDrafts)); got != 1 {
 		t.Fatalf("drafts = %d", got)
 	}
-	ids := f.svc.OpenFolder(1, event.FolderDrafts, 9, event.ActorHijacker)
-	if len(ids) != 1 {
-		t.Fatalf("OpenFolder = %v", ids)
-	}
+	f.svc.OpenFolder(1, event.FolderDrafts, 9, event.ActorHijacker)
 	opens := logstore.Select[event.FolderOpened](f.log)
-	if len(opens) != 1 || opens[0].Folder != event.FolderDrafts {
+	if len(opens) != 1 || opens[0].Folder != event.FolderDrafts ||
+		opens[0].Account != 1 || opens[0].Session != 9 || opens[0].Actor != event.ActorHijacker {
 		t.Fatalf("folder events = %+v", opens)
 	}
 }
@@ -262,11 +263,10 @@ func TestSpamReportLogged(t *testing.T) {
 
 func TestUnknownAccountSafe(t *testing.T) {
 	f := newFixture(t, 3, 12)
-	if f.svc.Search(99, "x", 1, event.ActorOwner) != 0 {
-		t.Fatal("unknown account search")
-	}
-	if f.svc.OpenFolder(99, event.FolderInbox, 1, event.ActorOwner) != nil {
-		t.Fatal("unknown account folder")
+	f.svc.Search(99, "x", 1, event.ActorOwner)
+	f.svc.OpenFolder(99, event.FolderInbox, 1, event.ActorOwner)
+	if n := f.log.Len(); n != 0 {
+		t.Fatalf("unknown-account search/folder logged %d events", n)
 	}
 	if f.svc.MassDelete(99, 1, event.ActorOwner) != 0 {
 		t.Fatal("unknown account delete")
@@ -327,15 +327,222 @@ func TestDeleteRestoreRoundTripProperty(t *testing.T) {
 	}
 }
 
+// refMailbox is a plain reference model of one mailbox, in the layout the
+// packed slice replaced: messages by ID, a delivery-order list, and backed-up
+// messages for Restore.
+type refMailbox struct {
+	msgs    map[event.MessageID]Message
+	order   []event.MessageID
+	backup  []Message
+	filters []Filter
+}
+
+func (r *refMailbox) add(m Message) {
+	r.msgs[m.ID] = m
+	r.order = append(r.order, m.ID)
+}
+
+func (r *refMailbox) live() []Message {
+	var out []Message
+	for _, id := range r.order {
+		if m, ok := r.msgs[id]; ok {
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
+func (r *refMailbox) massDelete() {
+	r.backup = append(r.backup, r.live()...)
+	r.msgs = map[event.MessageID]Message{}
+	r.order = nil
+}
+
+func (r *refMailbox) restore() {
+	for _, m := range r.backup {
+		if _, ok := r.msgs[m.ID]; !ok {
+			r.add(m)
+		}
+	}
+	r.backup = nil
+	var keep []Filter
+	for _, f := range r.filters {
+		if f.CreatedBy != event.ActorHijacker {
+			keep = append(keep, f)
+		}
+	}
+	r.filters = keep
+}
+
+// refMatches is the reference search semantics: case-insensitive substring
+// match on keywords, plus the is:starred and filename:(a or b) operators.
+func refMatches(m Message, query string) bool {
+	q := strings.ToLower(query)
+	if q == "is:starred" {
+		return m.Starred
+	}
+	terms := []string{q}
+	if rest, ok := strings.CutPrefix(q, "filename:("); ok {
+		terms = strings.Split(strings.TrimSuffix(rest, ")"), " or ")
+	}
+	for _, k := range m.Keywords {
+		for _, t := range terms {
+			if strings.Contains(strings.ToLower(k), t) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// Property: under any sequence of deliveries (through ToTrash and
+// forwarding filters), sends, mass deletions and restores, the mailbox
+// agrees with the reference model on Len, scan order, every folder's
+// contents and every query's hit count.
+func TestMailboxMatchesReferenceModel(t *testing.T) {
+	lexicon := []string{"Wire transfer", "lunch", "holiday.jpg", "PASSWORD", "scan png"}
+	queries := []string{"wire", "LUNCH", "jpg", "password", "png", "absent",
+		"is:starred", "filename:(jpg or png)"}
+	folders := []event.Folder{event.FolderInbox, event.FolderSent, event.FolderDrafts,
+		event.FolderTrash, event.FolderStarred}
+
+	prop := func(ops []uint16) bool {
+		f := newFixture(t, 4, 16)
+		f.svc.Seed(randx.New(16), SeedConfig{MeanMessages: 8, FinanceAccountRate: 0.5, StarRate: 0.3, DraftRate: 0.2})
+		a, b := f.dir.Get(1), f.dir.Get(2)
+		mb := f.svc.Mailbox(a.ID)
+		ref := &refMailbox{msgs: map[event.MessageID]Message{}}
+		mb.scan(func(m *Message) { ref.add(*m) })
+
+		for step, op := range ops {
+			kw := []string{lexicon[int(op>>3)%len(lexicon)]}
+			switch op % 5 {
+			case 0: // b writes to a: a's copy goes through a's filters.
+				id := f.svc.Send(SendReq{FromAcct: b.ID, FromAddr: b.Addr,
+					Recipients: []identity.Address{a.Addr}, Keywords: kw,
+					Class: event.ClassOrganic, Actor: event.ActorOwner})
+				m := Message{ID: id + 1, Keywords: kw, Folder: event.FolderInbox}
+				for _, fl := range ref.filters {
+					if fl.ToTrash {
+						m.Folder = event.FolderTrash
+					}
+					if fl.ForwardTo != "" {
+						m.Forwarded = true
+					}
+				}
+				ref.add(m)
+			case 1: // a writes to b: a keeps a Sent copy.
+				id := f.svc.Send(SendReq{FromAcct: a.ID, FromAddr: a.Addr,
+					Recipients: []identity.Address{b.Addr}, Keywords: kw,
+					Class: event.ClassOrganic, Actor: event.ActorOwner})
+				ref.add(Message{ID: id, Keywords: kw, Folder: event.FolderSent})
+			case 2:
+				fl := Filter{ToTrash: op&8 != 0, CreatedBy: event.ActorOwner}
+				if op&16 != 0 {
+					fl.ForwardTo = "doppel@evil.test"
+				}
+				if op&32 != 0 {
+					fl.CreatedBy = event.ActorHijacker
+				}
+				f.svc.CreateFilter(a.ID, fl, 1, fl.CreatedBy)
+				ref.filters = append(ref.filters, fl)
+			case 3:
+				f.svc.MassDelete(a.ID, 1, event.ActorHijacker)
+				ref.massDelete()
+			case 4:
+				f.svc.Restore(a.ID)
+				ref.restore()
+			}
+
+			want := ref.live()
+			if mb.Len() != len(want) {
+				t.Logf("step %d: Len = %d, want %d", step, mb.Len(), len(want))
+				return false
+			}
+			i := 0
+			ok := true
+			mb.scan(func(m *Message) {
+				w := want[i]
+				if m.ID != w.ID || m.Folder != w.Folder || m.Forwarded != w.Forwarded ||
+					m.Starred != w.Starred || strings.Join(m.Keywords, "|") != strings.Join(w.Keywords, "|") {
+					t.Logf("step %d: scan[%d] = %+v, want %+v", step, i, *m, w)
+					ok = false
+				}
+				i++
+			})
+			if !ok {
+				return false
+			}
+			for _, fo := range folders {
+				var wantIDs []event.MessageID
+				for _, m := range want {
+					if (fo == event.FolderStarred && m.Starred) || (fo != event.FolderStarred && m.Folder == fo) {
+						wantIDs = append(wantIDs, m.ID)
+					}
+				}
+				if got := mb.InFolder(fo); !reflect.DeepEqual(got, wantIDs) {
+					t.Logf("step %d: InFolder(%s) = %v, want %v", step, fo, got, wantIDs)
+					return false
+				}
+			}
+			for _, q := range queries {
+				n := 0
+				for _, m := range want {
+					if refMatches(m, q) {
+						n++
+					}
+				}
+				if got := mb.CountMatching(q); got != n {
+					t.Logf("step %d: CountMatching(%q) = %d, want %d", step, q, got, n)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMailActionAllocFences pins Search and OpenFolder as log-only
+// actions: their allocations must not depend on mailbox size, so a full
+// scan coming back fails here. Keywords are mixed-case, so a scan would
+// allocate a lower-cased copy per message.
+func TestMailActionAllocFences(t *testing.T) {
+	measure := func(n int) (search, open float64) {
+		f := newFixture(t, 3, 17)
+		mb := f.svc.Mailbox(1)
+		for i := 0; i < n; i++ {
+			mb.msgs = append(mb.msgs, Message{ID: event.MessageID(i + 1),
+				Keywords: []string{"Wire Transfer"}, Folder: event.FolderInbox, Starred: i%2 == 0})
+		}
+		search = testing.AllocsPerRun(200, func() {
+			f.svc.Search(1, "wire", 1, event.ActorHijacker)
+		})
+		open = testing.AllocsPerRun(200, func() {
+			f.svc.OpenFolder(1, event.FolderStarred, 1, event.ActorHijacker)
+		})
+		return search, open
+	}
+	smallSearch, smallOpen := measure(10)
+	bigSearch, bigOpen := measure(10_000)
+	if bigSearch != smallSearch {
+		t.Errorf("Search: %.0f allocs on 10,000 messages vs %.0f on 10; it must not scan", bigSearch, smallSearch)
+	}
+	if bigOpen != smallOpen {
+		t.Errorf("OpenFolder: %.0f allocs on 10,000 messages vs %.0f on 10; it must not scan", bigOpen, smallOpen)
+	}
+}
+
 func TestSearchOperators(t *testing.T) {
 	f := newFixture(t, 5, 15)
 	mb := f.svc.Mailbox(1)
-	mb.messages = map[event.MessageID]*Message{
-		1: {ID: 1, Keywords: []string{"vacation", "jpg"}, Starred: true, Folder: event.FolderInbox},
-		2: {ID: 2, Keywords: []string{"report", "png"}, Folder: event.FolderInbox},
-		3: {ID: 3, Keywords: []string{"lunch"}, Folder: event.FolderInbox},
+	mb.msgs = []Message{
+		{ID: 1, Keywords: []string{"vacation", "jpg"}, Starred: true, Folder: event.FolderInbox},
+		{ID: 2, Keywords: []string{"report", "png"}, Folder: event.FolderInbox},
+		{ID: 3, Keywords: []string{"lunch"}, Folder: event.FolderInbox},
 	}
-	mb.order = []event.MessageID{1, 2, 3}
 
 	if got := mb.CountMatching("is:starred"); got != 1 {
 		t.Fatalf("is:starred = %d, want 1", got)

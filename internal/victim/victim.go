@@ -265,7 +265,8 @@ func (m *Manager) PrimeRisk() {
 // onDelivery reacts to mail landing in a provider inbox: scams and phish
 // get reported at SpamReportRate; a sliver of organic mail is reported too
 // (the noise the paper had to curate away); and a small share of scam
-// recipients engage with the plea.
+// recipients engage with the plea. It copies the fields it needs: the
+// message is the mail service's, valid only during the call.
 func (m *Manager) onDelivery(rcpt identity.AccountID, msg *mail.Message) {
 	if msg.Class == event.ClassScam {
 		m.maybeEngageScam(rcpt, msg)

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Perf-trajectory harness (ISSUE 4). Runs the simulation-core benchmarks —
-# scheduler (internal/simtime), log store (internal/logstore), end-to-end
-# world and study engine (internal/core, root) — plus the scale-0.1 study
-# wall-clock, and writes:
+# Perf-trajectory harness. Runs the simulation-core benchmarks — scheduler
+# (internal/simtime), log store (internal/logstore), mail service
+# (internal/mail), end-to-end world and study engine (internal/core, root)
+# — plus the scale-0.1 study wall-clock, and writes:
 #
 #   $TXT   benchstat-compatible text (feed two runs to `benchstat old new`)
 #   $JSON  a machine-readable summary for the BENCH_<n>.json trajectory
@@ -63,6 +63,10 @@ echo "== logstore benches (benchtime=$BENCHTIME)" >&2
 go test -run '^$' -bench 'BenchmarkAppend|BenchmarkSeal$|BenchmarkSelectIndexed|BenchmarkKindCountsIndexed' \
     -benchtime "$BENCHTIME" -count "$COUNT" ./internal/logstore/ | tee -a "$TXT"
 
+echo "== mail benches (benchtime=$BENCHTIME)" >&2
+go test -run '^$' -bench 'BenchmarkMail' -benchtime "$BENCHTIME" -count "$COUNT" \
+    ./internal/mail/ | tee -a "$TXT"
+
 echo "== serving pipeline + wire codec benches (benchtime=$BENCHTIME)" >&2
 go test -run '^$' -bench 'BenchmarkServeScore|BenchmarkScoreWire' -benchtime "$BENCHTIME" -count "$COUNT" \
     ./internal/serve/ | tee -a "$TXT"
@@ -105,10 +109,12 @@ if [ "$SERVE_REPLAY" = "1" ]; then
 fi
 
 echo "== study wall-clock (scale=$STUDY_SCALE seed=$STUDY_SEED)" >&2
-go build -o /tmp/hijackstudy.bench ./cmd/hijackstudy
+STUDY_BIN_DIR=$(mktemp -d)
+STUDY_BIN="$STUDY_BIN_DIR/hijackstudy"
+go build -o "$STUDY_BIN" ./cmd/hijackstudy
 STUDY_OUT=$(mktemp)
 start_ms=$(date +%s%3N)
-/tmp/hijackstudy.bench -seed "$STUDY_SEED" -scale "$STUDY_SCALE" > "$STUDY_OUT"
+"$STUDY_BIN" -seed "$STUDY_SEED" -scale "$STUDY_SCALE" > "$STUDY_OUT"
 end_ms=$(date +%s%3N)
 study_s=$(awk -v a="$start_ms" -v b="$end_ms" 'BEGIN { printf "%.3f", (b - a) / 1000 }')
 study_rss=$(awk '/^peak-rss-mib:/ { print $2 }' "$STUDY_OUT"); study_rss="${study_rss:-0}"
@@ -125,7 +131,7 @@ if [ "$SPILL_SCALE" != "0" ]; then
     gzip_flag=""
     [ "$SPILL_GZIP" = "1" ] && gzip_flag="-segment-gzip"
     start_ms=$(date +%s%3N)
-    /tmp/hijackstudy.bench -seed "$STUDY_SEED" -scale "$SPILL_SCALE" \
+    "$STUDY_BIN" -seed "$STUDY_SEED" -scale "$SPILL_SCALE" \
         -spill-writers "$SPILL_WRITERS" -scan-workers "$SCAN_WORKERS" $gzip_flag \
         -spill-dir "$SPILL_TMP/segs" > "$SPILL_TMP/out.txt"
     end_ms=$(date +%s%3N)
@@ -134,6 +140,7 @@ if [ "$SPILL_SCALE" != "0" ]; then
     rm -rf "$SPILL_TMP"
     echo "spill study wall-clock: ${spill_s}s peak-rss: ${spill_rss}MiB (scale=$SPILL_SCALE)" >&2
 fi
+rm -rf "$STUDY_BIN_DIR"
 
 # Summarize the benchstat text as JSON. Multiple -count runs of the same
 # benchmark are averaged.
